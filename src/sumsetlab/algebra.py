@@ -423,5 +423,7 @@ def structure_from_json(obj) -> AmbientStructure:
         if tag == "Intersect":
             return IntersectionSemigroup(_decode_int(arg))
         if tag == "Power":
+            if not isinstance(arg, dict) or not {"base", "k"} <= arg.keys():
+                raise ValueError(f"Power structure needs an object with 'base' and 'k', got {arg!r}")
             return DirectPower(structure_from_json(arg["base"]), _decode_int(arg["k"]))
     raise ValueError(f"unknown structure encoding {obj!r}")

@@ -19,13 +19,10 @@ import io
 import json
 import sys
 
-from .algebra import Integers, Lattice, Permutations, Residues, structure_to_json
-from .hunts import HuntConfig, eval_question1, eval_question2, run_hunt
+from .algebra import Integers, Lattice, Permutations, Residues
+from .hunts import HuntConfig, HuntRecord, eval_question1, eval_question2, run_hunt
 from .inequalities import (
     CSV_HEADER,
-    InequalityReport,
-    _digest,
-    _report,
     build_graph_counterexample,
     cauchy_davenport_check,
     construct_large_subset,
@@ -33,17 +30,19 @@ from .inequalities import (
     find_plunnecke_subset_multi,
     greedy_distinct_triple_sums,
     lex_min_decomposition,
+    plunnecke_report,
     tensor_power_identity_check,
     torsion_free_reduce,
+    verify_graph_sum,
     verify_lev_monotonicity,
     verify_projection_lemma,
     verify_restricted_three_sum,
     verify_submultiplicativity,
     verify_superadditivity,
+    verify_tensor_power,
 )
 from .sumsets import (
     FiniteSet,
-    direct_power,
     graph_triple_sumset,
     instance_from_json,
     restricted_pair_sumset,
@@ -59,7 +58,10 @@ def _need_sets(sets, count, what):
 def _int_extra(extras, key, default=None):
     if key in extras:
         v = extras[key]
-        return int(v, 10) if isinstance(v, str) else int(v)
+        try:
+            return int(v, 10) if isinstance(v, str) else int(v)
+        except (TypeError, OverflowError):
+            raise ValueError(f"{key}: expected an integer, got {v!r}") from None
     if default is None:
         raise ValueError(f"instance is missing required integer field {key!r}")
     return default
@@ -107,31 +109,19 @@ def _run_cauchy_davenport(structure, sets, graph, extras):
     return [cauchy_davenport_check(structure.modulus, sets[0], sets[1])], None
 
 
-def _witness_report(name, witness, structure, sets, **extra):
-    digest = _digest(
-        {
-            "structure": structure_to_json(structure),
-            "sets": [s.to_json() for s in sets],
-            **extra,
-        }
-    )
-    report = _report(name, witness.achieved, witness.bound, "<=", digest)
-    return [report], witness.to_json()
-
-
 def _run_plunnecke(structure, sets, graph, extras):
     _need_sets(sets, 2, "plunnecke (A, B)")
     i = _int_extra(extras, "i")
     k = _int_extra(extras, "k")
     witness = find_plunnecke_subset(sets[0], sets[1], i, k)
-    return _witness_report("plunnecke", witness, structure, sets, i=i, k=k)
+    return [plunnecke_report("plunnecke", witness, structure, sets, i=i, k=k)], witness.to_json()
 
 
 def _run_plunnecke_multi(structure, sets, graph, extras):
     if len(sets) < 2:
         raise ValueError("plunnecke-multi expects A followed by at least one B")
     witness = find_plunnecke_subset_multi(sets[0], sets[1:])
-    return _witness_report("plunnecke-multi", witness, structure, sets)
+    return [plunnecke_report("plunnecke-multi", witness, structure, sets)], witness.to_json()
 
 
 def _run_plunnecke_large(structure, sets, graph, extras):
@@ -139,7 +129,7 @@ def _run_plunnecke_large(structure, sets, graph, extras):
         raise ValueError("plunnecke-large expects A followed by at least one B")
     k = _int_extra(extras, "k")
     witness = construct_large_subset(sets[0], sets[1:], k)
-    return _witness_report("plunnecke-large", witness, structure, sets, k=k)
+    return [plunnecke_report("plunnecke-large", witness, structure, sets, k=k)], witness.to_json()
 
 
 def _run_lev(structure, sets, graph, extras):
@@ -150,61 +140,46 @@ def _run_lev(structure, sets, graph, extras):
 
 def _run_tensor(structure, sets, graph, extras):
     _need_sets(sets, 2, "tensor (X, Y)")
-    k = _int_extra(extras, "k", 2)
     x, y = sets
-    tensor_power_identity_check(structure, x, y, k)  # enforces the size caps
-    base = len(sumset(structure, [x, y]))
-    xp = direct_power(structure, x, k)
-    yp = direct_power(structure, y, k)
-    power = len(sumset(xp.structure, [xp, yp]))
-    digest = _digest(
-        {"structure": structure_to_json(structure), "sets": [s.to_json() for s in sets], "k": k}
-    )
-    return [_report("tensor", power, base**k, "==", digest)], None
+    return [verify_tensor_power(structure, x, y, _int_extra(extras, "k", 2))], None
 
 
 def _run_graphsum(structure, sets, graph, extras):
     _need_sets(sets, 1, "graphsum")
     if graph is None:
         raise ValueError("graphsum needs a graph in the instance")
-    a = sets[0]
-    pair = restricted_pair_sumset(structure, a, a, graph)
-    triple = graph_triple_sumset(a, graph)
-    digest = _digest(
-        {
-            "structure": structure_to_json(structure),
-            "sets": [a.to_json()],
-            "graph": graph.to_json(),
-        }
-    )
-    return [_report("graphsum", len(triple) ** 2, len(pair) ** 3, "<=", digest)], None
+    return [verify_graph_sum(structure, sets[0], graph)], None
 
 
+def _run_q1(structure, sets, graph, extras):
+    return eval_question1(structure, sets)
+
+
+def _run_q2(structure, sets, graph, extras):
+    if len(sets) < 5:
+        raise ValueError("q2 expects sets A, B1..Bk (k >= 3), S")
+    return eval_question2(sets[0], sets[1:-1], sets[-1])
+
+
+# name -> (runner, whether `witness` accepts it). A runner takes the parsed
+# instance and returns (reports, witness JSON or None), or, for the hunt
+# questions, the HuntRecord itself, which `witness` prints unchanged.
 VERIFIERS = {
-    "superadd": _run_superadd,
-    "superadd-tf": _run_superadd_tf,
-    "submult": _run_submult,
-    "projection": _run_projection,
-    "restsum": _run_restsum,
-    "cauchy-davenport": _run_cauchy_davenport,
-    "plunnecke": _run_plunnecke,
-    "plunnecke-multi": _run_plunnecke_multi,
-    "plunnecke-large": _run_plunnecke_large,
-    "lev": _run_lev,
-    "tensor": _run_tensor,
-    "graphsum": _run_graphsum,
+    "superadd": (_run_superadd, True),
+    "superadd-tf": (_run_superadd_tf, True),
+    "submult": (_run_submult, True),
+    "projection": (_run_projection, False),
+    "restsum": (_run_restsum, False),
+    "cauchy-davenport": (_run_cauchy_davenport, False),
+    "plunnecke": (_run_plunnecke, True),
+    "plunnecke-multi": (_run_plunnecke_multi, True),
+    "plunnecke-large": (_run_plunnecke_large, True),
+    "lev": (_run_lev, False),
+    "tensor": (_run_tensor, False),
+    "graphsum": (_run_graphsum, False),
+    "q1": (_run_q1, True),
+    "q2": (_run_q2, True),
 }
-
-WITNESS_CAPABLE = {
-    "superadd",
-    "superadd-tf",
-    "submult",
-    "plunnecke",
-    "plunnecke-multi",
-    "plunnecke-large",
-}
-
-HUNT_EVALS = {"q1", "q2"}
 
 
 def _load_json(path):
@@ -221,49 +196,39 @@ def _print_reports_csv(reports):
     sys.stdout.write(buf.getvalue())
 
 
-def _emit(reports, witness, out_format, include_witness):
+def _emit(result, out_format, include_witness):
+    """Print a runner's result and return the exit code."""
+    if isinstance(result, HuntRecord):
+        if out_format == "csv":
+            raise ValueError("q1/q2 records support JSON output only")
+        print(json.dumps(result.to_json(), indent=2, sort_keys=True))
+        return 2 if result.violation else 0
+    reports, witness = result
     if out_format == "csv":
         _print_reports_csv(reports)
-        return
-    body = [r.to_json() for r in reports]
-    if len(body) == 1:
-        obj = body[0]
-        if include_witness:
-            obj["witness"] = witness
     else:
-        obj = {"reports": body}
-    print(json.dumps(obj, indent=2, sort_keys=True))
-
-
-def _run_hunt_eval(name, structure, sets, out_format):
-    if name == "q1":
-        record = eval_question1(structure, sets)
-    else:
-        if len(sets) < 5:
-            raise ValueError("q2 expects sets A, B1..Bk (k >= 3), S")
-        record = eval_question2(sets[0], sets[1:-1], sets[-1])
-    if out_format == "csv":
-        raise ValueError("q1/q2 records support JSON output only")
-    print(json.dumps(record.to_json(), indent=2, sort_keys=True))
-    return 2 if record.violation else 0
+        body = [r.to_json() for r in reports]
+        if len(body) == 1:
+            obj = body[0]
+            if include_witness:
+                obj["witness"] = witness
+        else:
+            obj = {"reports": body}
+        print(json.dumps(obj, indent=2, sort_keys=True))
+    return 0 if all(r.holds for r in reports) else 2
 
 
 def _cmd_verify(args, include_witness):
     obj = _load_json(args.instance)
     name = args.inequality
-    if name in HUNT_EVALS:
-        structure, sets, graph, extras = instance_from_json(obj)
-        return _run_hunt_eval(name, structure, sets, args.out)
     if name not in VERIFIERS:
-        valid = ", ".join(sorted(VERIFIERS) + sorted(HUNT_EVALS))
+        valid = ", ".join(sorted(VERIFIERS))
         raise ValueError(f"unknown inequality {name!r}; valid names: {valid}")
-    if include_witness and name not in WITNESS_CAPABLE:
-        valid = ", ".join(sorted(WITNESS_CAPABLE))
+    run, has_witness = VERIFIERS[name]
+    if include_witness and not has_witness:
+        valid = ", ".join(n for n, (_, w) in sorted(VERIFIERS.items()) if w)
         raise ValueError(f"no witness for {name!r}; witness-capable: {valid}")
-    structure, sets, graph, extras = instance_from_json(obj)
-    reports, witness = VERIFIERS[name](structure, sets, graph, extras)
-    _emit(reports, witness, args.out, include_witness and args.out == "json")
-    return 0 if all(r.holds for r in reports) else 2
+    return _emit(run(*instance_from_json(obj)), args.out, include_witness)
 
 
 def _cmd_family(args):
@@ -286,14 +251,9 @@ def _cmd_family(args):
 
 
 def _cmd_hunt(args):
-    obj = _load_json(args.instance)
-    if args.seed is not None:
-        obj["seed"] = args.seed
-    if args.budget is not None:
-        obj["instance_budget"] = args.budget
-    if args.log is not None:
-        obj["log_path"] = args.log
-    config = HuntConfig.from_json(obj)
+    config = HuntConfig.from_json(_load_json(args.instance))
+    overrides = {"seed": args.seed, "instance_budget": args.budget, "log_path": args.log}
+    config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
     summary = run_hunt(config)
     print(json.dumps(summary.to_json(), indent=2, sort_keys=True))
     return 2 if summary.violations else 0

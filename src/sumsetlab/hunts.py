@@ -31,7 +31,11 @@ from .algebra import (
     structure_from_json,
     structure_to_json,
 )
-from .sumsets import FiniteSet, leave_one_out, sumset
+from .sumsets import FiniteSet, _require_nonempty, leave_one_out, sumset
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -56,6 +60,13 @@ class HuntConfig:
     checkpoint_path: str | None = None
 
     def __post_init__(self):
+        for name in ("k", "seed", "instance_budget", "value_range"):
+            v = getattr(self, name)
+            if not _is_int(v) and not (name == "value_range" and v is None):
+                raise ValueError(f"{name}: expected an integer, got {v!r}")
+        for name in ("log_path", "checkpoint_path"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ValueError(f"{name}: expected a path string")
         if self.question not in ("Q1", "Q2"):
             raise ValueError("question must be Q1 or Q2")
         if self.mode not in ("exhaustive", "random"):
@@ -66,9 +77,11 @@ class HuntConfig:
             raise ValueError("instance budget must be >= 0")
         n_positions = self.k if self.question == "Q1" else self.k + 2
         caps = self.size_caps
-        if isinstance(caps, int):
+        if _is_int(caps):
             caps = (caps,) * n_positions
         else:
+            if not isinstance(caps, (tuple, list)) or not all(_is_int(c) for c in caps):
+                raise ValueError("size_caps: expected an integer or an array of integers")
             caps = tuple(caps)
             if len(caps) == 1:
                 caps = caps * n_positions
@@ -102,12 +115,17 @@ class HuntConfig:
 
     @classmethod
     def from_json(cls, obj):
-        caps = obj.get("size_caps", 3)
+        """Parse a hunt config; a malformed one raises ValueError naming the field."""
+        if not isinstance(obj, dict):
+            raise ValueError("hunt config: expected a JSON object")
+        for key in ("question", "structure", "k"):
+            if key not in obj:
+                raise ValueError(f"hunt config is missing required field {key!r}")
         return cls(
             question=obj["question"],
             structure=structure_from_json(obj["structure"]),
             k=obj["k"],
-            size_caps=tuple(caps) if isinstance(caps, list) else caps,
+            size_caps=obj.get("size_caps", 3),
             mode=obj.get("mode", "random"),
             seed=obj.get("seed", 0),
             instance_budget=obj.get("instance_budget", 0),
@@ -146,8 +164,7 @@ def eval_question1(structure: AmbientStructure, sets: list[FiniteSet], instance_
     """Evaluate |S|^(k-1) against prod n_i, composing in list order."""
     if structure.is_commutative:
         raise ValueError("Question 1 targets noncommutative structures")
-    if not sets or any(len(s) == 0 for s in sets):
-        raise ValueError("nonempty sets required")
+    _require_nonempty(sets)
     k = len(sets)
     big = sumset(structure, sets)
     rhs = 1
@@ -174,8 +191,7 @@ def eval_question2(a: FiniteSet, bs: list[FiniteSet], s: FiniteSet, instance_ind
     structure = a.structure
     if not isinstance(structure, Integers):
         raise ValueError("Question 2 runs over the integers")
-    if any(len(x) == 0 for x in [a, s] + list(bs)):
-        raise ValueError("nonempty sets required")
+    _require_nonempty([a, s, *bs])
     total = sumset(structure, list(bs))
     if not set(s) <= set(total):
         raise ValueError("S must be a subset of B1+...+Bk")

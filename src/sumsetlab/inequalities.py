@@ -33,13 +33,14 @@ from .algebra import (
     Lattice,
     Residues,
     _encode_int,
-    structure_to_json,
 )
 from .sumsets import (
     AdditionGraph,
     FiniteSet,
+    _require_nonempty,
     direct_power,
     graph_triple_sumset,
+    instance_to_json,
     iterated_sum,
     leave_one_out,
     restricted_pair_sumset,
@@ -56,6 +57,11 @@ class TheoremViolationError(RuntimeError):
 def _digest(payload: dict) -> str:
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def _instance_digest(structure, sets, graph=None, **extras) -> str:
+    """The digest of an instance, over its instance-file encoding."""
+    return _digest(instance_to_json(structure, sets, graph, **extras))
 
 
 def _frac_json(x: Fraction):
@@ -118,23 +124,17 @@ def _report(name, lhs, rhs, direction, digest) -> InequalityReport:
     return InequalityReport(name, lhs, rhs, slack >= 0, slack, digest)
 
 
-def _require_nonempty(sets):
-    if not sets or any(len(s) == 0 for s in sets):
-        raise ValueError("nonempty sets required")
-
-
 def _require_commutative(structure):
     if not structure.is_commutative:
         raise ValueError(f"{structure} is not commutative")
 
 
-def _sets_payload(structure, sets, **extras) -> dict:
-    payload = {
-        "structure": structure_to_json(structure),
-        "sets": [s.to_json() for s in sets],
-    }
-    payload.update(extras)
-    return payload
+def _require_commutative_group(structure):
+    """The subset-growth bounds are theorems about commutative groups; in a
+    semigroup such as Intersect(u) they can fail."""
+    _require_commutative(structure)
+    if not structure.invertible:
+        raise ValueError(f"{structure} is not a group; the growth bounds need a commutative group")
 
 
 # --- Superadditive lower bound ----------------------------------------------
@@ -257,7 +257,7 @@ def verify_superadditivity(sets: list[FiniteSet]):
     if (k - 1) * len(sprime) < rhs:
         raise TheoremViolationError("THEOREM VIOLATION: (k-1)|S'| below the mark count")
 
-    digest = _digest(_sets_payload(structure, originals))
+    digest = _instance_digest(structure, originals)
     report = _report("superadd", (k - 1) * len(big), rhs, ">=", digest)
     return report, witness
 
@@ -423,7 +423,7 @@ def verify_submultiplicativity(structure: AmbientStructure, sets: list[FiniteSet
     rhs = 1
     for s in sis:
         rhs *= len(s)
-    digest = _digest(_sets_payload(structure, sets))
+    digest = _instance_digest(structure, sets)
     return _report("submult", lhs, rhs, "<=", digest)
 
 
@@ -464,7 +464,7 @@ def verify_restricted_three_sum(
         raise ValueError("S must be a subset of B1+B2")
     lhs = len(sumset(structure, [s, a])) ** 2
     rhs = len(s) * len(sumset(structure, [a, b1])) * len(sumset(structure, [a, b2]))
-    digest = _digest(_sets_payload(structure, [a, b1, b2, s]))
+    digest = _instance_digest(structure, [a, b1, b2, s])
     return _report("restsum", lhs, rhs, "<=", digest)
 
 
@@ -492,7 +492,7 @@ def cauchy_davenport_check(p: int, a: FiniteSet, b: FiniteSet) -> InequalityRepo
     _require_nonempty([a, b])
     lhs = len(sumset(structure, [a, b]))
     rhs = min(len(a) + len(b) - 1, p)
-    digest = _digest(_sets_payload(structure, [a, b]))
+    digest = _instance_digest(structure, [a, b])
     return _report("cauchy-davenport", lhs, rhs, ">=", digest)
 
 
@@ -520,6 +520,13 @@ class PlunneckeWitness:
             "bound": _frac_json(self.bound),
             "achieved": _frac_json(self.achieved),
         }
+
+
+def plunnecke_report(name, witness: PlunneckeWitness, structure, sets, **params) -> InequalityReport:
+    """The report achieved <= bound for a witness found on the instance
+    (structure, sets, params)."""
+    digest = _instance_digest(structure, sets, **params)
+    return _report(name, witness.achieved, witness.bound, "<=", digest)
 
 
 def _first_valid_subset(structure, a: FiniteSet, target: FiniteSet, valid):
@@ -601,12 +608,12 @@ def find_plunnecke_subset(a: FiniteSet, b: FiniteSet, i: int, k: int) -> Plunnec
 def find_plunnecke_subset_multi(a: FiniteSet, bs: list[FiniteSet]) -> PlunneckeWitness:
     """Find nonempty X in A with |X + B_1 + ... + B_h| m^h <= s |X|,
 
-    where m = |A| and s = prod |A + B_i|. Exhaustive over subsets of A,
-    smallest valid bitmask returned.
+    where m = |A| and s = prod |A + B_i|, over a commutative group.
+    Exhaustive over subsets of A, smallest valid bitmask returned.
     """
     _require_nonempty([a] + list(bs))
     structure = a.structure
-    _require_commutative(structure)
+    _require_commutative_group(structure)
     h = len(bs)
     m = len(a)
     s = 1
@@ -643,7 +650,7 @@ def construct_large_subset(a: FiniteSet, bs: list[FiniteSet], k: int) -> Plunnec
     if not 1 <= k <= len(a):
         raise ValueError("need 1 <= k <= |A|")
     structure = a.structure
-    _require_commutative(structure)
+    _require_commutative_group(structure)
     h = len(bs)
     m = len(a)
     s = 1
@@ -700,8 +707,7 @@ def verify_lev_monotonicity(a: FiniteSet, kmax: int) -> list[InequalityReport]:
     (so (|kA|-1)/k is nondecreasing in k) and the root chain
     |kA|^i <= |iA|^k (so |kA|^(1/k) is nonincreasing).
     """
-    if len(a) == 0:
-        raise ValueError("nonempty sets required")
+    _require_nonempty([a])
     if kmax < 2:
         raise ValueError("kmax must be at least 2")
     structure = a.structure
@@ -712,7 +718,7 @@ def verify_lev_monotonicity(a: FiniteSet, kmax: int) -> list[InequalityReport]:
     for j in range(2, kmax + 1):
         acc = sumset(structure, [acc, a])
         sizes[j] = len(acc)
-    digest = _digest(_sets_payload(structure, [a], kmax=kmax))
+    digest = _instance_digest(structure, [a], kmax=kmax)
     reports = []
     for i in range(1, kmax + 1):
         for k in range(i + 1, kmax + 1):
@@ -779,11 +785,19 @@ def build_graph_counterexample(n: int, s: FiniteSet):
                 edges.add((x - 1, y - 1))
     graph = AdditionGraph(n, n, frozenset(edges), symmetric=True, loops_allowed=True)
 
-    pair = restricted_pair_sumset(zint, a, a, graph)
+    return a, graph, _graph_sum_report(zint, a, graph, _instance_digest(zint, [s], n=n))
+
+
+def _graph_sum_report(structure, a, graph, digest) -> InequalityReport:
+    pair = restricted_pair_sumset(structure, a, a, graph)
     triple = graph_triple_sumset(a, graph)
-    digest = _digest(_sets_payload(zint, [s], n=n))
-    report = _report("graphsum", len(triple) ** 2, len(pair) ** 3, "<=", digest)
-    return a, graph, report
+    return _report("graphsum", len(triple) ** 2, len(pair) ** 3, "<=", digest)
+
+
+def verify_graph_sum(structure: AmbientStructure, a: FiniteSet, graph: AdditionGraph) -> InequalityReport:
+    """Check |triple sums|^2 <= |pair sums|^3 over the edges of a symmetric
+    graph on A."""
+    return _graph_sum_report(structure, a, graph, _instance_digest(structure, [a], graph))
 
 
 def greedy_distinct_triple_sums(n: int, target_size: int) -> FiniteSet:
@@ -815,10 +829,11 @@ def greedy_distinct_triple_sums(n: int, target_size: int) -> FiniteSet:
 # --- Direct-power identity ----------------------------------------------------
 
 
-def tensor_power_identity_check(
+def verify_tensor_power(
     structure: AmbientStructure, x: FiniteSet, y: FiniteSet, k: int
-) -> bool:
-    """True iff |X^k + Y^k| = |X+Y|^k in the k-th direct power."""
+) -> InequalityReport:
+    """Check |X^k + Y^k| = |X+Y|^k in the k-th direct power (k <= 3, sets of
+    at most 6 elements)."""
     if not 1 <= k <= 3:
         raise ValueError("k must be in 1..3")
     _require_nonempty([x, y])
@@ -828,4 +843,11 @@ def tensor_power_identity_check(
     xp = direct_power(structure, x, k)
     yp = direct_power(structure, y, k)
     power = len(sumset(xp.structure, [xp, yp]))
-    return power == base**k
+    return _report("tensor", power, base**k, "==", _instance_digest(structure, [x, y], k=k))
+
+
+def tensor_power_identity_check(
+    structure: AmbientStructure, x: FiniteSet, y: FiniteSet, k: int
+) -> bool:
+    """True iff |X^k + Y^k| = |X+Y|^k in the k-th direct power."""
+    return verify_tensor_power(structure, x, y, k).holds

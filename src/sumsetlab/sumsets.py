@@ -19,6 +19,7 @@ from .algebra import (
     DirectPower,
     Integers,
     StructureMismatchError,
+    _decode_int,
     structure_from_json,
     structure_to_json,
 )
@@ -115,7 +116,10 @@ class AdditionGraph:
 
     @classmethod
     def from_json(cls, obj, left_size, right_size):
-        edges = frozenset((i - 1, j - 1) for i, j in obj["edges"])
+        edges = obj.get("edges") if isinstance(obj, dict) else None
+        if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
+            raise ValueError("graph: expected {\"edges\": [[i, j], ...]} with 1-based indices")
+        edges = frozenset((_decode_int(i) - 1, _decode_int(j) - 1) for i, j in edges)
         return cls(
             left_size,
             right_size,
@@ -251,8 +255,7 @@ def direct_power(structure: AmbientStructure, x: FiniteSet, k: int) -> FiniteSet
     """The k-fold Cartesian power of X inside DirectPower(structure, k)."""
     if k < 1:
         raise ValueError("k must be positive")
-    if len(x) == 0:
-        raise ValueError("nonempty sets required")
+    _require_nonempty([x])
     _require_same_structure(structure, [x])
     power = DirectPower(structure, k)
     return FiniteSet(power, tuple(itertools.product(x.elements, repeat=k)))
@@ -279,11 +282,24 @@ def instance_to_json(structure, sets, graph=None, **extras):
 
 
 def instance_from_json(obj):
-    """Parse an instance file body into (structure, sets, graph, extras)."""
+    """Parse an instance file body into (structure, sets, graph, extras).
+
+    A malformed body raises ValueError naming the offending field.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError("instance: expected a JSON object")
+    for key in ("structure", "sets"):
+        if key not in obj:
+            raise ValueError(f"instance is missing required field {key!r}")
     structure = structure_from_json(obj["structure"])
-    sets = [FiniteSet.from_json(structure, vs) for vs in obj["sets"]]
+    sets = obj["sets"]
+    if not isinstance(sets, list) or not all(isinstance(vs, list) for vs in sets):
+        raise ValueError("sets: expected an array of element arrays")
+    sets = [FiniteSet.from_json(structure, vs) for vs in sets]
     graph = None
     if obj.get("graph") is not None:
+        if not sets:
+            raise ValueError("graph: the instance has no sets")
         left = len(sets[0])
         right = len(sets[1]) if len(sets) > 1 else len(sets[0])
         graph = AdditionGraph.from_json(obj["graph"], left, right)

@@ -200,3 +200,105 @@ def test_selftest_passes(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert out.count("PASS") >= 10
+
+
+# Pinned instance digests, one instance per inequality: reports are keyed by
+# these values, so a change in how any verifier digests its instance shows here.
+DIGEST_CASES = [
+    ("superadd", {"structure": "Z", "sets": [[0, 2], [0, 1], [0, 3]]}, "7310aab330d648e5"),
+    ("superadd-tf", {"structure": {"Zd": 2}, "sets": [[[0, 0], [1, 0]], [[0, 0], [0, 1]]]}, "32238c0e4c920351"),
+    ("submult", {"structure": "Z", "sets": [[0, 2], [0, 1], [0, 3]]}, "7310aab330d648e5"),
+    (
+        "projection",
+        {"structure": {"Zd": 3}, "sets": [[[0, 0, 0], [0, 0, 1], [0, 1, 0], [1, 0, 0]]]},
+        "0b573777a522268f",
+    ),
+    ("restsum", {"structure": "Z", "sets": [[0, 1], [0, 1], [0, 2], [0, 3]]}, "2bb98dc7841cee50"),
+    ("cauchy-davenport", {"structure": {"Zmod": 5}, "sets": [[0, 1, 2], [0, 1, 2]]}, "6f440f5ca04c1095"),
+    ("plunnecke", {"structure": "Z", "sets": [[0, 1, 2, 5], [0, 1, 3]], "i": 1, "k": 2}, "f63ce76babb9ea5f"),
+    ("plunnecke-multi", {"structure": "Z", "sets": [[0, 1, 4], [0, 1], [0, 2]]}, "a5c2204851230c55"),
+    ("plunnecke-large", {"structure": "Z", "sets": [[0, 1, 4], [0, 1], [0, 2]], "k": 2}, "b04598cfe3f5da69"),
+    ("lev", {"structure": "Z", "sets": [[0, 1, 3]], "kmax": 3}, "49d15ddcd9242116"),
+    ("tensor", {"structure": "Z", "sets": [[0, 1], [0, 2]], "k": 2}, "00d56d362ee51742"),
+    (
+        "graphsum",
+        {
+            "structure": "Z",
+            "sets": [[1, 2, 3]],
+            "graph": {"edges": [[1, 2], [1, 3], [2, 3]], "symmetric": True, "loops": False},
+        },
+        "4a61a1ff6e4cc7fa",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, obj, digest", DIGEST_CASES, ids=[c[0] for c in DIGEST_CASES])
+def test_instance_digests_are_stable(name, obj, digest, tmp_path, capsys):
+    path = write(tmp_path / "inst.json", obj)
+    assert main(["verify", "--instance", path, "--inequality", name]) == 0
+    out = json.loads(capsys.readouterr().out)
+    reports = out.get("reports", [out])
+    assert {r["instance_digest"] for r in reports} == {digest}
+
+
+@pytest.mark.parametrize(
+    "name, sets",
+    [
+        ("q1", [[[1, 2, 3]], [[2, 1, 3]], [[1, 3, 2]]]),
+        ("q2", [[0, 1], [0, 1], [0, 1], [0, 1], [0, 3]]),
+    ],
+)
+def test_witness_prints_the_hunt_record_like_verify(name, sets, tmp_path, capsys):
+    structure = {"Sym": 3} if name == "q1" else "Z"
+    path = write(tmp_path / "q.json", {"structure": structure, "sets": sets})
+    outputs = []
+    for command in ("verify", "witness"):
+        assert main([command, "--instance", path, "--inequality", name]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "witness" not in json.loads(outputs[0])
+
+
+INTERSECT_MULTI = {
+    "structure": {"Intersect": 5},
+    "sets": [[0, 1, 5, 7, 26, 27, 29], [0, 10, 28], [4, 24]],
+}
+HUNT_Q2 = {"question": "Q2", "structure": "Z", "k": 3, "value_range": 5}
+MALFORMED = [
+    ("verify", "superadd", {"structure": "Z", "sets": 5}, "sets"),
+    ("verify", "superadd", {"structure": "Z", "sets": [5]}, "sets"),
+    ("verify", "superadd", [1, 2], "instance"),
+    ("verify", "superadd", {"sets": [[0]]}, "structure"),
+    ("verify", "graphsum", {"structure": "Z", "sets": [[1, 2, 3]], "graph": {"edges": 5}}, "graph"),
+    ("verify", "graphsum", {"structure": "Z", "sets": [[1, 2]], "graph": 5}, "graph"),
+    ("verify", "graphsum", {"structure": "Z", "sets": [[1, 2]], "graph": {"edges": [[1]]}}, "graph"),
+    ("verify", "graphsum", {"structure": "Z", "sets": [], "graph": {"edges": []}}, "graph"),
+    ("verify", "superadd", {"structure": {"Power": {"base": "Z"}}, "sets": [[[0]]]}, "Power"),
+    ("verify", "superadd", {"structure": {"Power": 5}, "sets": [[[0]]]}, "Power"),
+    ("verify", "tensor", {"structure": "Z", "sets": [[0], [1]], "k": [2]}, "k"),
+    ("verify", "plunnecke-multi", INTERSECT_MULTI, "not a group"),
+    ("verify", "plunnecke-large", dict(INTERSECT_MULTI, k=2), "not a group"),
+    ("hunt", None, dict(HUNT_Q2, size_caps="x"), "size_caps"),
+    ("hunt", None, dict(HUNT_Q2, size_caps=[2, "x", 2, 2, 2]), "size_caps"),
+    ("hunt", None, dict(HUNT_Q2, k="3"), "k"),
+    ("hunt", None, dict(HUNT_Q2, value_range=[5]), "value_range"),
+    ("hunt", None, dict(HUNT_Q2, log_path=5), "log_path"),
+    ("hunt", None, {"structure": "Z", "k": 3}, "question"),
+    ("hunt", None, [HUNT_Q2], "hunt config"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, name, obj, field", MALFORMED, ids=[f"{c[0]}-{c[1]}-{c[3]}-{i}" for i, c in enumerate(MALFORMED)]
+)
+def test_malformed_input_is_one_error_line(command, name, obj, field, tmp_path, capsys):
+    argv = [command, "--instance", write(tmp_path / "bad.json", obj)]
+    if name is not None:
+        argv += ["--inequality", name]
+    # A hunt flag overrides the parsed config, so the body is validated first.
+    assert main(argv + (["--seed", "1"] if command == "hunt" else [])) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+    assert field in lines[0]
+    assert "Traceback" not in captured.err and captured.out == ""

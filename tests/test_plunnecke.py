@@ -9,6 +9,7 @@ import pytest
 from sumsetlab import (
     FiniteSet,
     Integers,
+    IntersectionSemigroup,
     Residues,
     construct_large_subset,
     find_plunnecke_subset,
@@ -127,6 +128,18 @@ def test_large_subset_reaches_requested_size(rng):
 def test_large_subset_errors():
     with pytest.raises(ValueError, match="1 <= k <= "):
         construct_large_subset(int_set(0, 1), [int_set(0)], 3)
+
+
+def test_growth_searches_reject_semigroups():
+    # In Intersect(5) no X satisfies the multi-summand bound for this
+    # instance (the best ratio is 7/6); the searches must refuse it up front.
+    semi = IntersectionSemigroup(5)
+    a = FiniteSet(semi, (0, 1, 5, 7, 26, 27, 29))
+    bs = [FiniteSet(semi, (0, 10, 28)), FiniteSet(semi, (4, 24))]
+    with pytest.raises(ValueError, match="not a group"):
+        find_plunnecke_subset_multi(a, bs)
+    with pytest.raises(ValueError, match="not a group"):
+        construct_large_subset(a, bs, 2)
 
 
 def test_smoothed_bound_degenerates_at_zero():
