@@ -13,6 +13,10 @@ ordinary Python sets and ``sorted()`` realizes the canonical order:
 
 Integer payloads are arbitrary precision throughout; lattice-to-integer
 embeddings produce values up to m**d, which would overflow any fixed width.
+
+Elements are validated where they enter: the ``FiniteSet`` constructor, the JSON
+decoders and the module-level ``compose``. A structure's ``compose`` method is
+the unchecked law; composing valid elements yields a valid element.
 """
 
 from __future__ import annotations
@@ -42,8 +46,8 @@ def _mismatch(structure, x) -> StructureMismatchError:
 class AmbientStructure:
     """Base class for the ambient structures below.
 
-    Subclasses provide ``compose`` (associative), ``validate``, and the
-    carrier metadata. Structures whose law is invertible also provide
+    Subclasses provide ``compose`` (the associative law, unchecked),
+    ``validate`` and the carrier metadata. Invertible structures also provide
     ``subtract`` so callers can run greedy decomposition searches.
     """
 
@@ -92,8 +96,6 @@ class Integers(AmbientStructure):
     invertible = True
 
     def compose(self, x, y):
-        self.validate(x)
-        self.validate(y)
         return x + y
 
     def subtract(self, x, y):
@@ -126,8 +128,6 @@ class Lattice(AmbientStructure):
             raise ValueError("lattice dimension must be >= 1")
 
     def compose(self, x, y):
-        self.validate(x)
-        self.validate(y)
         return tuple(a + b for a, b in zip(x, y))
 
     def subtract(self, x, y):
@@ -170,8 +170,6 @@ class Residues(AmbientStructure):
         return self.modulus
 
     def compose(self, x, y):
-        self.validate(x)
-        self.validate(y)
         return (x + y) % self.modulus
 
     def subtract(self, x, y):
@@ -221,8 +219,6 @@ class Permutations(AmbientStructure):
         return math.factorial(self.degree)
 
     def compose(self, x, y):
-        self.validate(x)
-        self.validate(y)
         return tuple(y[i - 1] for i in x)
 
     def subtract(self, x, y):
@@ -282,8 +278,6 @@ class IntersectionSemigroup(AmbientStructure):
         return 1 << self.universe
 
     def compose(self, x, y):
-        self.validate(x)
-        self.validate(y)
         return x & y
 
     def validate(self, x):
@@ -338,8 +332,6 @@ class DirectPower(AmbientStructure):
         return None if self.base.size is None else self.base.size**self.power
 
     def compose(self, x, y):
-        self.validate(x)
-        self.validate(y)
         return tuple(self.base.compose(a, b) for a, b in zip(x, y))
 
     def subtract(self, x, y):
@@ -367,7 +359,9 @@ class DirectPower(AmbientStructure):
 
 
 def compose(structure: AmbientStructure, x, y):
-    """Compose two elements under the structure's law."""
+    """Compose two elements under the structure's law, validating both."""
+    structure.validate(x)
+    structure.validate(y)
     return structure.compose(x, y)
 
 

@@ -57,11 +57,10 @@ def _need_sets(sets, count, what):
 
 def _int_extra(extras, key, default=None):
     if key in extras:
-        v = extras[key]
         try:
-            return int(v, 10) if isinstance(v, str) else int(v)
-        except (TypeError, OverflowError):
-            raise ValueError(f"{key}: expected an integer, got {v!r}") from None
+            return Integers().element_from_json(extras[key])
+        except ValueError:
+            raise ValueError(f"{key}: expected an integer, got {extras[key]!r}") from None
     if default is None:
         raise ValueError(f"instance is missing required integer field {key!r}")
     return default

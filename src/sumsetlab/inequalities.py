@@ -38,6 +38,7 @@ from .sumsets import (
     AdditionGraph,
     FiniteSet,
     _require_nonempty,
+    _require_same_structure,
     direct_power,
     graph_triple_sumset,
     instance_to_json,
@@ -350,9 +351,7 @@ def lex_min_decomposition(structure: AmbientStructure, sets: list[FiniteSet]) ->
     if len(sets) < 2:
         raise ValueError("need at least two summands")
     _require_nonempty(sets)
-    for s in sets:
-        if s.structure != structure:
-            raise ValueError(f"set over {s.structure} used with {structure}")
+    _require_same_structure(structure, sets)
     orders = [s.elements for s in sets]
     k = len(orders)
     compose = structure.compose

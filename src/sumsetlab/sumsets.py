@@ -40,10 +40,17 @@ class FiniteSet:
     elements: tuple = ()
 
     def __post_init__(self):
-        xs = self.elements
-        for x in xs:
+        for x in self.elements:
             self.structure.validate(x)
-        object.__setattr__(self, "elements", tuple(sorted(set(xs))))
+        object.__setattr__(self, "elements", tuple(sorted(set(self.elements))))
+
+    @classmethod
+    def _unchecked(cls, structure, xs):
+        """Sort and deduplicate elements already known to be valid, without validating."""
+        fs = object.__new__(cls)
+        object.__setattr__(fs, "structure", structure)
+        object.__setattr__(fs, "elements", tuple(sorted(set(xs))))
+        return fs
 
     def __len__(self):
         return len(self.elements)
@@ -120,13 +127,11 @@ class AdditionGraph:
         if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
             raise ValueError("graph: expected {\"edges\": [[i, j], ...]} with 1-based indices")
         edges = frozenset((_decode_int(i) - 1, _decode_int(j) - 1) for i, j in edges)
-        return cls(
-            left_size,
-            right_size,
-            edges,
-            bool(obj.get("symmetric", False)),
-            bool(obj.get("loops", True)),
-        )
+        symmetric, loops = obj.get("symmetric", False), obj.get("loops", True)
+        for key, flag in (("symmetric", symmetric), ("loops", loops)):
+            if not isinstance(flag, bool):
+                raise ValueError(f"graph: {key!r} must be true or false, got {flag!r}")
+        return cls(left_size, right_size, edges, symmetric, loops)
 
 
 def _require_same_structure(structure, sets):
@@ -189,7 +194,7 @@ def sumset(structure: AmbientStructure, sets: list[FiniteSet]) -> FiniteSet:
     acc = set(sets[0])
     for nxt in sets[1:]:
         acc = _pair_sumset(structure, acc, nxt.elements)
-    return FiniteSet(structure, tuple(acc))
+    return FiniteSet._unchecked(structure, acc)
 
 
 def leave_one_out(structure: AmbientStructure, sets: list[FiniteSet], i: int) -> FiniteSet:
@@ -215,10 +220,8 @@ def restricted_pair_sumset(
     _require_same_structure(structure, [a, b])
     if g.left_size != len(a) or g.right_size != len(b):
         raise ValueError("dimension mismatch between graph and operand sets")
-    xs = a.elements
-    ys = b.elements
-    compose = structure.compose
-    return FiniteSet(structure, tuple(compose(xs[i], ys[j]) for i, j in g.edges))
+    xs, ys = a.elements, b.elements
+    return FiniteSet._unchecked(structure, (structure.compose(xs[i], ys[j]) for i, j in g.edges))
 
 
 def graph_triple_sumset(a: FiniteSet, g: AdditionGraph) -> FiniteSet:
@@ -248,7 +251,7 @@ def graph_triple_sumset(a: FiniteSet, g: AdditionGraph) -> FiniteSet:
                 k = low.bit_length() - 1
                 out.add(compose(compose(xs[i], xs[j]), xs[k]))
                 common ^= low
-    return FiniteSet(a.structure, tuple(out))
+    return FiniteSet._unchecked(a.structure, out)
 
 
 def direct_power(structure: AmbientStructure, x: FiniteSet, k: int) -> FiniteSet:
@@ -258,7 +261,7 @@ def direct_power(structure: AmbientStructure, x: FiniteSet, k: int) -> FiniteSet
     _require_nonempty([x])
     _require_same_structure(structure, [x])
     power = DirectPower(structure, k)
-    return FiniteSet(power, tuple(itertools.product(x.elements, repeat=k)))
+    return FiniteSet._unchecked(power, itertools.product(x.elements, repeat=k))
 
 
 # --- Instance files ----------------------------------------------------------

@@ -48,6 +48,10 @@ def test_compose_structure_mismatch():
         compose(Permutations(3), (1, 1, 2), (1, 2, 3))
     with pytest.raises(StructureMismatchError):
         compose(IntersectionSemigroup(2), 4, 1)
+    with pytest.raises(StructureMismatchError):
+        compose(Lattice(2), (1, 2), (1, 2, 3))
+    with pytest.raises(StructureMismatchError):
+        compose(DirectPower(Residues(5), 2), (0, 1), (0, 5))
 
 
 def test_commutativity_flags():

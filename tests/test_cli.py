@@ -285,6 +285,14 @@ MALFORMED = [
     ("hunt", None, dict(HUNT_Q2, log_path=5), "log_path"),
     ("hunt", None, {"structure": "Z", "k": 3}, "question"),
     ("hunt", None, [HUNT_Q2], "hunt config"),
+    ("verify", "tensor", {"structure": "Z", "sets": [[0], [1]], "k": 2.9}, "k"),
+    ("verify", "tensor", {"structure": "Z", "sets": [[0], [1]], "k": True}, "k"),
+    ("verify", "tensor", {"structure": "Z", "sets": [[0], [1]], "k": "x"}, "k"),
+    ("verify", "graphsum", {"structure": "Z", "sets": [[1, 2]], "graph": {"edges": [[1, 2]], "symmetric": "false"}},
+     "symmetric"),
+    ("verify", "graphsum", {"structure": "Z", "sets": [[1, 2]], "graph": {"edges": [[1, 2]], "loops": "no"}}, "loops"),
+    ("verify", "superadd", {"structure": {"Sym": 3}, "sets": [[[1, 1, 2]]]}, "Sym(3)"),
+    ("verify", "superadd", {"structure": {"Intersect": 3}, "sets": [[9]]}, "Intersect(3)"),
 ]
 
 

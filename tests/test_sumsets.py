@@ -129,8 +129,16 @@ def test_sumset_matches_bruteforce_across_structures(rng):
             for _ in range(rng.randrange(2, 4))
         ]
         cases.append((semi, sets))
+    power = DirectPower(Residues(5), 2)
+    pairs = list(power.elements())
+    for _ in range(30):
+        sets = [
+            FiniteSet(power, tuple(rng.sample(pairs, rng.randrange(1, 5))))
+            for _ in range(rng.randrange(2, 4))
+        ]
+        cases.append((power, sets))
     for structure, sets in cases:
-        assert set(sumset(structure, sets)) == brute_sumset(structure, sets)
+        assert sumset(structure, sets) == FiniteSet(structure, tuple(brute_sumset(structure, sets)))
 
 
 def test_bitset_engine_agrees_with_generic_on_1000_instances(rng):
@@ -246,7 +254,7 @@ def test_graph_triple_matches_bruteforce(rng):
         for i, j, k in itertools.combinations_with_replacement(range(n), 3):
             if (i, j) in es and (i, k) in es and (j, k) in es:
                 expected.add(xs[i] + xs[j] + xs[k])
-        assert set(graph_triple_sumset(a, g)) == expected
+        assert graph_triple_sumset(a, g) == FiniteSet(z, tuple(expected))
 
 
 def test_addition_graph_validation():
