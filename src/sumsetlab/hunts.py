@@ -22,6 +22,7 @@ import heapq
 import itertools
 import json
 import math
+import os
 import random
 from dataclasses import dataclass, field
 
@@ -31,7 +32,7 @@ from .algebra import (
     structure_from_json,
     structure_to_json,
 )
-from .sumsets import FiniteSet, _require_nonempty, leave_one_out, sumset
+from .sumsets import FiniteSet, _require_nonempty, sumset
 
 
 def _is_int(v) -> bool:
@@ -171,7 +172,7 @@ def eval_question1(structure: AmbientStructure, sets: list[FiniteSet], instance_
     for i, s in enumerate(sets):
         best = 0
         for x in s:
-            pinned = sets[:i] + [FiniteSet(structure, (x,))] + sets[i + 1 :]
+            pinned = sets[:i] + [FiniteSet._unchecked(structure, (x,))] + sets[i + 1 :]
             best = max(best, len(sumset(structure, pinned)))
         rhs *= best
     lhs = len(big) ** (k - 1)
@@ -197,9 +198,8 @@ def eval_question2(a: FiniteSet, bs: list[FiniteSet], s: FiniteSet, instance_ind
         raise ValueError("S must be a subset of B1+...+Bk")
     lhs = len(sumset(structure, [s, a])) ** k
     rhs = len(s)
-    for i in range(1, k + 1):
-        rest = leave_one_out(structure, list(bs), i)
-        rhs *= len(sumset(structure, [a, rest]))
+    for i in range(k):
+        rhs *= len(sumset(structure, [a, *bs[:i], *bs[i + 1 :]]))
     instance = {
         "question": "Q2",
         "structure": structure_to_json(structure),
@@ -285,9 +285,11 @@ def _draw_subset(rng: random.Random, carrier: list, cap: int) -> list:
     return [carrier[i] for i in _unrank_combination(n, size, r)]
 
 
+# The instance generators draw ascending subsets of sorted carriers of valid
+# elements, so they build their sets unchecked.
 def _q1_instances(config: HuntConfig):
     structure = config.structure
-    carrier = list(structure.elements())
+    carrier = sorted(structure.elements())
     budget = config.instance_budget
     if config.mode == "exhaustive":
         pools = [
@@ -306,7 +308,7 @@ def _q1_instances(config: HuntConfig):
 
         gen = randoms()
     for combo in itertools.islice(gen, budget):
-        yield [FiniteSet(structure, tuple(xs)) for xs in combo]
+        yield [FiniteSet._unchecked(structure, tuple(xs)) for xs in combo]
 
 
 def _q2_instances(config: HuntConfig):
@@ -316,14 +318,14 @@ def _q2_instances(config: HuntConfig):
     cap_a, *cap_bs, cap_s = config.size_caps
 
     def build(a_elems, bs_elems, rng=None):
-        a = FiniteSet(structure, tuple(a_elems))
-        bs = [FiniteSet(structure, tuple(e)) for e in bs_elems]
+        a = FiniteSet._unchecked(structure, tuple(a_elems))
+        bs = [FiniteSet._unchecked(structure, tuple(e)) for e in bs_elems]
         total = list(sumset(structure, bs))
         if rng is None:
             for s_elems in _subsets_in_canonical_order(total, cap_s, budget):
-                yield a, bs, FiniteSet(structure, tuple(s_elems))
+                yield a, bs, FiniteSet._unchecked(structure, tuple(s_elems))
         else:
-            yield a, bs, FiniteSet(structure, tuple(_draw_subset(rng, total, cap_s)))
+            yield a, bs, FiniteSet._unchecked(structure, tuple(_draw_subset(rng, total, cap_s)))
 
     if config.mode == "exhaustive":
         a_pool = _subsets_in_canonical_order(carrier, cap_a, budget)
@@ -369,12 +371,37 @@ class HuntSummary:
         }
 
 
+def _truncate_log(path: str, records: int) -> None:
+    """Cut a hunt log back to its first `records` lines, dropping anything an
+    interrupted run appended after the checkpoint."""
+    short = ValueError(f"{path}: the log holds fewer than the checkpoint's {records} records")
+    try:
+        fh = open(path, "r+b")
+    except FileNotFoundError:
+        raise short from None
+    with fh:
+        for _ in range(records):
+            if not fh.readline().endswith(b"\n"):
+                raise short
+        fh.truncate()
+
+
+def _write_checkpoint(path: str, next_index: int) -> None:
+    """Replace the checkpoint atomically: a reader sees the old or the new one."""
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        json.dump({"next_index": next_index}, fh)
+    os.replace(tmp, path)
+
+
 def run_hunt(config: HuntConfig) -> HuntSummary:
     """Evaluate instances up to the budget, logging one JSONL record each.
 
     Deterministic for a fixed config: identical logs byte for byte. Resumes
-    from the checkpoint file when one exists (the instance stream is
-    replayed up to the recorded index, and the log is appended to).
+    from the checkpoint file when one exists: the log is cut back to the
+    checkpoint's record count (a resume the log cannot back raises
+    ValueError), the instance stream is replayed up to the recorded index,
+    and the log is appended to.
     """
     start_index = 0
     if config.checkpoint_path:
@@ -383,6 +410,8 @@ def run_hunt(config: HuntConfig) -> HuntSummary:
                 start_index = json.load(fh)["next_index"]
         except FileNotFoundError:
             start_index = 0
+    if start_index and config.log_path:
+        _truncate_log(config.log_path, start_index)
 
     if config.question == "Q1":
         instances = _q1_instances(config)
@@ -411,7 +440,5 @@ def run_hunt(config: HuntConfig) -> HuntSummary:
             log.close()
 
     if config.checkpoint_path:
-        processed = start_index + summary.instances_run
-        with open(config.checkpoint_path, "w") as fh:
-            json.dump({"next_index": processed}, fh)
+        _write_checkpoint(config.checkpoint_path, start_index + summary.instances_run)
     return summary

@@ -1,8 +1,11 @@
 """Finite sets over an ambient structure and their n-fold sumsets.
 
-Two engines compute integer pairwise sumsets: a generic hash/set fold, and a
-bitset-shift engine used when both operands fit a bounded window. The engine
-choice is internal; results are identical element for element.
+Sumsets fold left to right through a hash/set fold. An integer sumset folds
+all summands into one offset and bitmask by shift-or, decoded once, while its
+sums are dense: the total spread sum(max - min) is at most the product of the
+set sizes, and before each later summand at most the partial sum's size times
+the sizes still to come. The engine choice is internal; results are identical
+element for element.
 
 Restricted sums are driven by an AdditionGraph, an index-level edge relation
 on the operand sets. Graph indices are 0-based in memory and 1-based in the
@@ -12,6 +15,7 @@ JSON instance format.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .algebra import (
@@ -23,10 +27,6 @@ from .algebra import (
     structure_from_json,
     structure_to_json,
 )
-
-# Maximum combined value spread for the integer bitset engine.
-BITSET_WINDOW = 1 << 20
-
 
 @dataclass(frozen=True)
 class FiniteSet:
@@ -45,11 +45,11 @@ class FiniteSet:
         object.__setattr__(self, "elements", tuple(sorted(set(self.elements))))
 
     @classmethod
-    def _unchecked(cls, structure, xs):
-        """Sort and deduplicate elements already known to be valid, without validating."""
+    def _unchecked(cls, structure, elements: tuple):
+        """Wrap a tuple of valid, distinct elements in canonical order as is."""
         fs = object.__new__(cls)
         object.__setattr__(fs, "structure", structure)
-        object.__setattr__(fs, "elements", tuple(sorted(set(xs))))
+        object.__setattr__(fs, "elements", elements)
         return fs
 
     def __len__(self):
@@ -152,35 +152,24 @@ def _pair_sumset_generic(structure, xs, ys) -> set:
     return {compose(x, y) for x in xs for y in ys}
 
 
-def _bitset_ok(xs, ys) -> bool:
-    return (max(xs) - min(xs)) + (max(ys) - min(ys)) < BITSET_WINDOW
-
-
-def _pair_sumset_bitset(xs, ys) -> set:
-    """Integer pairwise sumset via big-int bitmask shifts."""
-    if len(xs) > len(ys):
-        xs, ys = ys, xs
-    xlo = min(xs)
-    ylo = min(ys)
-    ybits = 0
-    for y in ys:
-        ybits |= 1 << (y - ylo)
-    bits = 0
-    for x in xs:
-        bits |= ybits << (x - xlo)
-    base = xlo + ylo
-    out = set()
-    while bits:
-        low = bits & -bits
-        out.add(base + low.bit_length() - 1)
-        bits ^= low
-    return out
-
-
-def _pair_sumset(structure, xs, ys) -> set:
-    if isinstance(structure, Integers) and _bitset_ok(xs, ys):
-        return _pair_sumset_bitset(xs, ys)
-    return _pair_sumset_generic(structure, xs, ys)
+def _integer_fold(sets) -> tuple | None:
+    """Integer sumset by one shift-or fold into an offset and bitmask, decoded
+    once; None, leaving it to the hash fold, as soon as the sums prove sparse
+    by the module docstring's test (progressions with a large difference do)."""
+    spread = sum(s.max() - s.min() for s in sets)
+    remaining = math.prod(map(len, sets))
+    offset, bits = 0, 1
+    for s in sets:
+        if spread > bits.bit_count() * remaining:
+            return None
+        remaining //= len(s)
+        lo = s.elements[0]
+        offset += lo
+        acc = 0
+        for x in s.elements:
+            acc |= bits << (x - lo)
+        bits = acc
+    return tuple([i for i, bit in enumerate(bin(bits)[:1:-1], offset) if bit == "1"])
 
 
 def sumset(structure: AmbientStructure, sets: list[FiniteSet]) -> FiniteSet:
@@ -191,10 +180,14 @@ def sumset(structure: AmbientStructure, sets: list[FiniteSet]) -> FiniteSet:
     """
     _require_nonempty(sets)
     _require_same_structure(structure, sets)
+    if isinstance(structure, Integers):
+        elements = _integer_fold(sets)
+        if elements is not None:
+            return FiniteSet._unchecked(structure, elements)
     acc = set(sets[0])
     for nxt in sets[1:]:
-        acc = _pair_sumset(structure, acc, nxt.elements)
-    return FiniteSet._unchecked(structure, acc)
+        acc = _pair_sumset_generic(structure, acc, nxt.elements)
+    return FiniteSet._unchecked(structure, tuple(sorted(acc)))
 
 
 def leave_one_out(structure: AmbientStructure, sets: list[FiniteSet], i: int) -> FiniteSet:
@@ -221,7 +214,8 @@ def restricted_pair_sumset(
     if g.left_size != len(a) or g.right_size != len(b):
         raise ValueError("dimension mismatch between graph and operand sets")
     xs, ys = a.elements, b.elements
-    return FiniteSet._unchecked(structure, (structure.compose(xs[i], ys[j]) for i, j in g.edges))
+    sums = {structure.compose(xs[i], ys[j]) for i, j in g.edges}
+    return FiniteSet._unchecked(structure, tuple(sorted(sums)))
 
 
 def graph_triple_sumset(a: FiniteSet, g: AdditionGraph) -> FiniteSet:
@@ -251,7 +245,7 @@ def graph_triple_sumset(a: FiniteSet, g: AdditionGraph) -> FiniteSet:
                 k = low.bit_length() - 1
                 out.add(compose(compose(xs[i], xs[j]), xs[k]))
                 common ^= low
-    return FiniteSet._unchecked(a.structure, out)
+    return FiniteSet._unchecked(a.structure, tuple(sorted(out)))
 
 
 def direct_power(structure: AmbientStructure, x: FiniteSet, k: int) -> FiniteSet:
@@ -261,7 +255,8 @@ def direct_power(structure: AmbientStructure, x: FiniteSet, k: int) -> FiniteSet
     _require_nonempty([x])
     _require_same_structure(structure, [x])
     power = DirectPower(structure, k)
-    return FiniteSet._unchecked(power, itertools.product(x.elements, repeat=k))
+    # The product of a sorted tuple comes out in lexicographic, canonical order.
+    return FiniteSet._unchecked(power, tuple(itertools.product(x.elements, repeat=k)))
 
 
 # --- Instance files ----------------------------------------------------------
@@ -284,6 +279,14 @@ def instance_to_json(structure, sets, graph=None, **extras):
     return obj
 
 
+def _element_at(structure, v, path):
+    """Decode one element, naming its path in the instance if it is malformed."""
+    try:
+        return structure.element_from_json(v)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def instance_from_json(obj):
     """Parse an instance file body into (structure, sets, graph, extras).
 
@@ -298,7 +301,11 @@ def instance_from_json(obj):
     sets = obj["sets"]
     if not isinstance(sets, list) or not all(isinstance(vs, list) for vs in sets):
         raise ValueError("sets: expected an array of element arrays")
-    sets = [FiniteSet.from_json(structure, vs) for vs in sets]
+    sets = [
+        FiniteSet(structure, tuple(_element_at(structure, v, f"sets[{i}][{j}]")
+                                   for j, v in enumerate(vs)))
+        for i, vs in enumerate(sets)
+    ]
     graph = None
     if obj.get("graph") is not None:
         if not sets:

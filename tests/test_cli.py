@@ -293,6 +293,10 @@ MALFORMED = [
     ("verify", "graphsum", {"structure": "Z", "sets": [[1, 2]], "graph": {"edges": [[1, 2]], "loops": "no"}}, "loops"),
     ("verify", "superadd", {"structure": {"Sym": 3}, "sets": [[[1, 1, 2]]]}, "Sym(3)"),
     ("verify", "superadd", {"structure": {"Intersect": 3}, "sets": [[9]]}, "Intersect(3)"),
+    ("verify", "superadd", {"structure": "Z", "sets": [[1, 2], [3, "x"]]}, "sets[1][1]: "),
+    ("verify", "superadd", {"structure": {"Zd": 2}, "sets": [[[0, 0], [1]]]}, "sets[0][1]: "),
+    ("verify", "superadd", {"structure": {"Sym": 3}, "sets": [[[1, 2, 3]], [[2, 1, 3], [1, 1, 2]]]},
+     "sets[1][1]: "),
 ]
 
 

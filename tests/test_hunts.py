@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from sumsetlab import hunts
 from sumsetlab import (
     FiniteSet,
     HuntConfig,
@@ -237,6 +238,62 @@ def test_checkpoint_resume_matches_single_run(tmp_path):
     assert second.instances_run == 70
     assert json.loads(ckpt.read_text()) == {"next_index": 120}
     assert staged.read_bytes() == oneshot.read_bytes()
+
+
+def test_interrupted_resume_leaves_no_duplicate_records(tmp_path, monkeypatch):
+    def config(budget, log, checkpoint=None):
+        return HuntConfig(
+            question="Q2",
+            structure=Integers(),
+            k=3,
+            size_caps=3,
+            value_range=15,
+            seed=4,
+            instance_budget=budget,
+            log_path=str(log),
+            checkpoint_path=None if checkpoint is None else str(checkpoint),
+        )
+
+    clean = tmp_path / "clean.jsonl"
+    run_hunt(config(200, clean))
+
+    staged, ckpt = tmp_path / "staged.jsonl", tmp_path / "ckpt.json"
+    run_hunt(config(100, staged, ckpt))
+    evaluate = hunts.eval_question2
+
+    def interrupted(*args, instance_index):
+        if instance_index == 150:
+            raise KeyboardInterrupt
+        return evaluate(*args, instance_index=instance_index)
+
+    monkeypatch.setattr(hunts, "eval_question2", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_hunt(config(200, staged, ckpt))
+    assert len(staged.read_bytes().splitlines()) == 150
+    assert json.loads(ckpt.read_text()) == {"next_index": 100}
+    monkeypatch.undo()
+
+    assert run_hunt(config(200, staged, ckpt)).instances_run == 100
+    assert json.loads(ckpt.read_text()) == {"next_index": 200}
+    assert staged.read_bytes() == clean.read_bytes()
+
+
+def test_resume_refuses_a_log_shorter_than_the_checkpoint(tmp_path):
+    log, ckpt = tmp_path / "log.jsonl", tmp_path / "ckpt.json"
+    ckpt.write_text(json.dumps({"next_index": 5}))
+    log.write_text("{}\n" * 4)
+    config = HuntConfig(
+        question="Q2",
+        structure=Integers(),
+        k=3,
+        value_range=5,
+        instance_budget=10,
+        log_path=str(log),
+        checkpoint_path=str(ckpt),
+    )
+    with pytest.raises(ValueError, match="fewer than the checkpoint's 5 records"):
+        run_hunt(config)
+    assert log.read_text() == "{}\n" * 4
 
 
 def test_min_slack_identifies_closest_call(tmp_path):

@@ -24,7 +24,7 @@ from sumsetlab import (
     restricted_pair_sumset,
     sumset,
 )
-from sumsetlab.sumsets import _pair_sumset_bitset, _pair_sumset_generic
+from sumsetlab import sumsets
 
 from conftest import brute_sumset, int_set, random_int_set
 
@@ -141,12 +141,50 @@ def test_sumset_matches_bruteforce_across_structures(rng):
         assert sumset(structure, sets) == FiniteSet(structure, tuple(brute_sumset(structure, sets)))
 
 
-def test_bitset_engine_agrees_with_generic_on_1000_instances(rng):
+def test_integer_engines_match_bruteforce(rng, monkeypatch):
+    """Integer sumsets take the bitmask fold while the total spread is at most
+    the bound on the number of sums (the product of the set sizes, then the
+    partial sum's size times the sizes still to come), and the hash fold past it."""
     z = Integers()
-    for _ in range(1000):
-        xs = set(random_int_set(rng, max_size=8, lo=-200, hi=200))
-        ys = set(random_int_set(rng, max_size=8, lo=-200, hi=200))
-        assert _pair_sumset_bitset(xs, ys) == _pair_sumset_generic(z, xs, ys)
+    outcomes = []
+    bitmask_fold = sumsets._integer_fold
+
+    def recorded_fold(sets):
+        outcomes.append(bitmask_fold(sets))
+        return outcomes[-1]
+
+    monkeypatch.setattr(sumsets, "_integer_fold", recorded_fold)
+
+    def took_bitmask(sets):
+        assert sumset(z, sets) == FiniteSet(z, tuple(brute_sumset(z, sets)))
+        return outcomes[-1] is not None
+
+    engines = []
+    for _ in range(600):
+        k = rng.randrange(1, 5)
+        lo, hi = rng.choice([(-40, 40), (-10**6, 10**6)])  # dense and sparse-wide
+        sets = [random_int_set(rng, max_size=6, lo=lo, hi=rng.randrange(lo, hi + 1)) for _ in range(k)]
+        engines.append(took_bitmask(sets))
+    assert any(engines) and not all(engines)
+
+    assert took_bitmask([int_set(-7)])
+    assert took_bitmask([int_set(5), int_set(-3), int_set(0, -1)])
+    for k in range(1, 5):
+        for _ in range(20):
+            # Heads {lo, lo + 2^j} have distinct partial sums, so every check
+            # sees the product of the sizes.
+            heads = [int_set(lo, lo + 2**j) for j, lo in enumerate(rng.sample(range(-9, 10), k - 1))]
+            size = rng.randrange(3, 8)
+            spread = 2 ** (k - 1) * size - (2 ** (k - 1) - 1)
+            for past, bitmask in ((0, True), (1, False)):
+                lo = rng.randrange(-50, 1)
+                top = lo + spread + past
+                last = FiniteSet(z, (lo, *rng.sample(range(lo + 1, top), size - 2), top))
+                assert took_bitmask([*heads, last]) == bitmask
+
+    # Progressions with a common difference: dense by the product of the
+    # sizes, but the partial sums collide, so the fold hands over to the hash fold.
+    assert not took_bitmask([FiniteSet(z, tuple(range(-40, 60, 20)))] * 4)
 
 
 def test_integer_cardinality_bounds_on_1000_instances(rng):
