@@ -18,10 +18,10 @@ subset unranking, and instances are enumerated or drawn in a fixed order.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import json
-import math
 import os
 import random
 from dataclasses import dataclass, field
@@ -253,13 +253,30 @@ def _subsets_in_canonical_order(carrier: list, cap: int, limit: int) -> list:
     return out
 
 
-def _unrank_combination(n: int, s: int, r: int) -> list:
-    """The r-th s-element subset of range(n) in lexicographic order."""
+@functools.cache
+def _pascal(cap: int) -> list:
+    """Pascal's triangle cut to columns 0..cap; _binomials adds the rows."""
+    return [(1,) + (0,) * cap]
+
+
+def _binomials(n: int, cap: int) -> list:
+    """rows with rows[m][j] = C(m, j) for all m <= n and j <= cap; one table
+    per cap serves every carrier size."""
+    rows = _pascal(cap)
+    while len(rows) <= n:
+        prev = rows[-1]
+        rows.append((1,) + tuple(prev[j - 1] + prev[j] for j in range(1, cap + 1)))
+    return rows
+
+
+def _unrank_combination(n: int, s: int, r: int, rows: list) -> list:
+    """The r-th s-element subset of range(n) in lexicographic order; rows is
+    _binomials(n, cap) for some cap >= s."""
     out = []
     x = 0
     for pos in range(s):
         while True:
-            rest = math.comb(n - x - 1, s - pos - 1)
+            rest = rows[n - x - 1][s - pos - 1]
             if r < rest:
                 out.append(x)
                 x += 1
@@ -274,7 +291,8 @@ def _draw_subset(rng: random.Random, carrier: list, cap: int) -> list:
     cap elements. Uses only randrange, for cross-version stability."""
     n = len(carrier)
     cap = min(cap, n)
-    counts = [math.comb(n, s) for s in range(1, cap + 1)]
+    rows = _binomials(n, cap)
+    counts = rows[n][1:]
     r = rng.randrange(sum(counts))
     size = 1
     for c in counts:
@@ -282,7 +300,7 @@ def _draw_subset(rng: random.Random, carrier: list, cap: int) -> list:
             break
         r -= c
         size += 1
-    return [carrier[i] for i in _unrank_combination(n, size, r)]
+    return [carrier[i] for i in _unrank_combination(n, size, r, rows)]
 
 
 # The instance generators draw ascending subsets of sorted carriers of valid

@@ -13,7 +13,11 @@ Witness constructions mirror the proofs they certify:
     sumset element, whose coordinate-deleting projections have pairwise
     distinct sums;
   * subset growth: an explicit nonempty X inside A realizing the growth
-    bound, found by exhaustive bitmask search.
+    bound, found by an ascending bitmask search that skips the subset sizes
+    ruled out by a proven lower bound on |X + T| (|X| + |T| - 1 in Z and
+    Z^d, min(p, |X| + |T| - 1) in Z/p for p prime, max(|X|, |T|) in any
+    other group) and reads each union from two half tables of 2^(|A|/2)
+    entries.
 
 Failures of proven statements raise TheoremViolationError: they signal an
 implementation bug, never a mathematical discovery.
@@ -530,44 +534,80 @@ def plunnecke_report(name, witness: PlunneckeWitness, structure, sets, **params)
 
 def _first_valid_subset(structure, a: FiniteSet, target: FiniteSet, valid):
     """Scan nonempty X inside A by ascending bitmask; return the first mask
-    (with |X + target|) whose counts satisfy `valid(count, |X|)`.
+    (with |X + target|) whose counts satisfy `valid(count, |X|)`, or
+    (None, None).
 
     Masks index the canonically sorted elements of A, so the first hit is the
-    numerically smallest valid bitmask.
+    numerically smallest valid bitmask. `valid` must stay true when the count
+    goes down; then no X of size p can be valid unless valid(lb(p), p) holds
+    for a proven lower bound lb(p) on |X + T|, T = target:
+
+      * p + |T| - 1 in Z and Z^d (torsion-free);
+      * min(q, p + |T| - 1) in Z/q, q prime (Cauchy-Davenport);
+      * max(p, |T|) in any other group (X + t is a translate of X).
+
+    The scan starts at the smallest popcount p0 passing that test and visits
+    only masks with at least p0 bits. Each union of translates is
+    lo[low half of mask] | hi[high half], from two tables of 2^(n/2) entries.
     """
     n = len(a)
     if n > SUBSET_SEARCH_CAP:
         raise ValueError("exhaustive search cap exceeded")
-    xs = a.elements
+    xs, ts = a.elements, target.elements
+    t = len(ts)
     if isinstance(structure, Integers):
-        tlo = target.min()
+        tlo = ts[0]
         tbits = 0
-        for t in target:
-            tbits |= 1 << (t - tlo)
+        for x in ts:
+            tbits |= 1 << (x - tlo)
         alo = xs[0]
         translates = [tbits << (x - alo) for x in xs]
-        empty = 0
-        def count(u):
-            return u.bit_count()
+        empty, count, growth, cap = 0, int.bit_count, t - 1, n + t
     else:
         compose = structure.compose
-        translates = [frozenset(compose(x, t) for t in target) for x in xs]
-        empty = frozenset()
-        count = len
-    unions = [empty] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        u = unions[mask ^ low] | translates[low.bit_length() - 1]
-        unions[mask] = u
-        cnt = count(u)
-        if valid(cnt, mask.bit_count()):
-            return mask, cnt
+        translates = [frozenset([compose(x, y) for y in ts]) for x in xs]
+        empty, count = frozenset(), len
+        growth = t - 1 if isinstance(structure, Lattice) or (
+            isinstance(structure, Residues) and _is_prime(structure.modulus)
+        ) else 0
+        cap = structure.size or n + t
+    # lb(p) = min(cap, max(p + growth, t)); cap = n + t never binds.
+    p0 = 1
+    while True:
+        lb = p0 + growth if p0 + growth > t else t
+        if valid(lb if lb < cap else cap, p0):
+            break
+        if p0 == n:
+            return None, None
+        p0 += 1
+    # Translate r joins its half table when the scan reaches masks < 2^(r+1).
+    h = n >> 1
+    lo, hi = [empty], [empty]
+    low = (1 << h) - 1
+    mask, bits = (1 << p0) - 1, p0
+    for r, u in enumerate(translates):
+        table = lo if r < h else hi
+        for v in table[:]:
+            table.append(v | u)
+        end = 2 << r
+        while mask < end:
+            cnt = count(lo[mask & low] | hi[mask >> h])
+            if valid(cnt, bits):
+                return mask, cnt
+            # the next mask with at least p0 bits: fill the lowest clear bits
+            mask += 1
+            bits = mask.bit_count()
+            while bits < p0:
+                mask |= mask + 1
+                bits += 1
     return None, None
 
 
 def _mask_to_set(a: FiniteSet, mask: int) -> FiniteSet:
+    """The subset of A a mask selects: an ascending subsequence of A."""
     xs = a.elements
-    return FiniteSet(a.structure, tuple(xs[j] for j in range(len(xs)) if mask >> j & 1))
+    chosen = [xs[j] for j in range(len(xs)) if mask >> j & 1]
+    return FiniteSet._unchecked(a.structure, tuple(chosen))
 
 
 def find_plunnecke_subset(a: FiniteSet, b: FiniteSet, i: int, k: int) -> PlunneckeWitness:
@@ -658,11 +698,12 @@ def construct_large_subset(a: FiniteSet, bs: list[FiniteSet], k: int) -> Plunnec
 
     x = set(find_plunnecke_subset_multi(a, bs).x_set)
     while len(x) < k:
-        rest = FiniteSet(structure, tuple(set(a) - x))
+        rest = FiniteSet._unchecked(structure, tuple(sorted(set(a) - x)))
         x |= set(find_plunnecke_subset_multi(rest, bs).x_set)
 
+    x_set = FiniteSet._unchecked(structure, tuple(sorted(x)))
     total = sumset(structure, list(bs))
-    achieved = len(sumset(structure, [FiniteSet(structure, tuple(x)), total]))
+    achieved = len(sumset(structure, [x_set, total]))
     bound = sum(Fraction(s, (m - r) ** h) for r in range(k))
     bound += (len(x) - k) * Fraction(s, (m - k + 1) ** h)
     if achieved > bound:
@@ -670,7 +711,7 @@ def construct_large_subset(a: FiniteSet, bs: list[FiniteSet], k: int) -> Plunnec
             "THEOREM VIOLATION: grown subset exceeds its growth bound"
         )
     return PlunneckeWitness(
-        x_set=FiniteSet(structure, tuple(x)),
+        x_set=x_set,
         bound=bound,
         achieved=Fraction(achieved),
     )

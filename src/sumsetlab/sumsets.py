@@ -148,6 +148,8 @@ def _require_nonempty(sets):
 
 
 def _pair_sumset_generic(structure, xs, ys) -> set:
+    if isinstance(structure, Integers):
+        return {x + y for x in xs for y in ys}
     compose = structure.compose
     return {compose(x, y) for x in xs for y in ys}
 

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -192,6 +193,46 @@ def test_random_q2_deterministic(tmp_path):
         assert summary.instances_run == 200 and not summary.violations
         digests.append((tmp_path / name).read_bytes())
     assert digests[0] == digests[1]
+
+
+def _reference_draw(rng, carrier, cap):
+    """The subset draw written with math.comb, as hunt logs were first made."""
+    n = len(carrier)
+    cap = min(cap, n)
+    counts = [math.comb(n, s) for s in range(1, cap + 1)]
+    r = rng.randrange(sum(counts))
+    size = 1
+    for c in counts:
+        if r < c:
+            break
+        r -= c
+        size += 1
+    out, x = [], 0
+    for pos in range(size):
+        while r >= math.comb(n - x - 1, size - pos - 1):
+            r -= math.comb(n - x - 1, size - pos - 1)
+            x += 1
+        out.append(x)
+        x += 1
+    return [carrier[i] for i in out]
+
+
+def test_draws_match_the_math_comb_reference():
+    for n in range(1, 82):
+        carrier = list(range(100, 100 + n))
+        for cap in range(1, 7):
+            ours, ref = random.Random(n * 7 + cap), random.Random(n * 7 + cap)
+            for _ in range(25):
+                assert hunts._draw_subset(ours, carrier, cap) == _reference_draw(ref, carrier, cap)
+            assert ours.getstate() == ref.getstate()  # the same randrange calls
+
+
+def test_unranking_lists_combinations_in_order():
+    for n in range(1, 9):
+        for s in range(1, n + 1):
+            rows = hunts._binomials(n, s)
+            ranked = [hunts._unrank_combination(n, s, r, rows) for r in range(math.comb(n, s))]
+            assert ranked == [list(c) for c in itertools.combinations(range(n), s)]
 
 
 def test_different_seeds_differ(tmp_path):

@@ -2,14 +2,17 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from sumsetlab import (
+    DirectPower,
     FiniteSet,
     Integers,
     IntersectionSemigroup,
+    Lattice,
     Residues,
     construct_large_subset,
     find_plunnecke_subset,
@@ -19,8 +22,9 @@ from sumsetlab import (
     sumset,
     verify_lev_monotonicity,
 )
+from sumsetlab.inequalities import SUBSET_SEARCH_CAP, _first_valid_subset
 
-from conftest import int_set, random_int_set
+from conftest import brute_sumset, int_set, random_int_set
 
 
 def test_single_b_examples():
@@ -47,10 +51,11 @@ def test_single_b_errors():
 
 def test_single_b_returns_smallest_valid_mask(rng):
     z = Integers()
-    for _ in range(80):
-        a = random_int_set(rng, max_size=4, lo=0, hi=10)
+    for _ in range(150):
+        a = random_int_set(rng, max_size=8, lo=-15, hi=15)
         b = random_int_set(rng, max_size=4, lo=0, hi=8)
-        i, k = 1, rng.choice([2, 3])
+        i = rng.choice([1, 2])
+        k = rng.randrange(i + 1, 5)
         witness = find_plunnecke_subset(a, b, i, k)
         m = len(a)
         aib = len(sumset(z, [a, iterated_sum(z, b, i)]))
@@ -66,6 +71,80 @@ def test_single_b_returns_smallest_valid_mask(rng):
         assert expected is not None
         assert witness.x_set.elements == expected[0]
         assert witness.achieved == Fraction(expected[1] ** i)
+
+
+def _reference_scan(structure, a, target, valid):
+    """Every mask in ascending order, each sum enumerated by brute force."""
+    xs = a.elements
+    for mask in range(1, 1 << len(xs)):
+        x_set = FiniteSet(structure, tuple(xs[j] for j in range(len(xs)) if mask >> j & 1))
+        cnt = len(brute_sumset(structure, [x_set, target]))
+        if valid(cnt, mask.bit_count()):
+            return mask, cnt
+    return None, None
+
+
+SCAN_STRUCTURES = {
+    "Z": (Integers(), lambda rng: rng.randrange(-12, 13)),
+    "Z/7": (Residues(7), lambda rng: rng.randrange(7)),
+    "Z/13": (Residues(13), lambda rng: rng.randrange(13)),
+    "Z/12": (Residues(12), lambda rng: rng.randrange(12)),
+    # inside the subgroup {0, 3, 6, 9}, where |X + T| can be below |X| + |T| - 1
+    "3Z/12": (Residues(12), lambda rng: rng.randrange(0, 12, 3)),
+    "Z^2": (Lattice(2), lambda rng: (rng.randrange(-3, 4), rng.randrange(-3, 4))),
+    "(Z/5)^2": (DirectPower(Residues(5), 2), lambda rng: (rng.randrange(5), rng.randrange(5))),
+}
+
+
+@pytest.mark.parametrize("structure,draw", SCAN_STRUCTURES.values(), ids=SCAN_STRUCTURES.keys())
+def test_pruned_scan_matches_reference_scan(structure, draw, rng):
+    """The scan skips popcounts that a proven lower bound on |X + T| rules
+    out; it must still return the first valid mask of a plain scan. The
+    thresholds u/v sweep the first allowed popcount over 1..|A| and past it."""
+    for _ in range(60):
+        a = FiniteSet(structure, tuple(draw(rng) for _ in range(rng.randrange(1, 9))))
+        target = FiniteSet(structure, tuple(draw(rng) for _ in range(rng.randrange(1, 5))))
+        u, v = rng.randrange(1, 8), rng.randrange(1, 40)
+        valid = lambda c, xs: c * u <= v * xs
+        assert _first_valid_subset(structure, a, target, valid) == _reference_scan(structure, a, target, valid)
+
+        bs = [FiniteSet(structure, tuple(draw(rng) for _ in range(rng.randrange(1, 4))))
+              for _ in range(rng.choice([1, 2]))]
+        s = 1
+        for b in bs:
+            s *= len(sumset(structure, [a, b]))
+        scale = len(a) ** len(bs)
+        total = FiniteSet(structure, tuple(brute_sumset(structure, bs)))
+        mask, cnt = _reference_scan(structure, a, total, lambda c, xs: c * scale <= s * xs)
+        w = find_plunnecke_subset_multi(a, bs)
+        assert w.x_set.elements == tuple(x for j, x in enumerate(a.elements) if mask >> j & 1)
+        assert w.achieved == cnt
+
+
+@pytest.mark.parametrize("n", [6, 13, SUBSET_SEARCH_CAP])
+def test_progressions_scan_only_the_full_mask(n):
+    """For A = {0..n-1} every X with |X| < n is ruled out by |X + T| >=
+    |X| + |T| - 1, so the scan checks one mask and keeps no 2^n table."""
+    a = int_set(*range(n))
+    tracemalloc.start()
+    try:
+        single = find_plunnecke_subset(a, int_set(0, 1), 1, 2)
+        multi = find_plunnecke_subset_multi(a, [int_set(0, 1), int_set(0, 1, 2)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert single.x_set == a and single.achieved == n + 2
+    assert multi.x_set == a and multi.achieved == n + 3
+    assert peak < 256 * 1024  # a 2^20-entry list alone takes 8 MiB
+    # Even at the lower bound every smaller X fails both searches' tests.
+    for p in range(1, n):
+        assert (p + 2) * n**2 > (n + 1) ** 2 * p
+        assert (p + 3) * n**2 > (n + 1) * (n + 2) * p
+
+
+def test_multi_search_cap_still_applies():
+    with pytest.raises(ValueError, match="cap exceeded"):
+        find_plunnecke_subset_multi(int_set(*range(SUBSET_SEARCH_CAP + 1)), [int_set(0, 1)])
 
 
 def test_multi_examples():
