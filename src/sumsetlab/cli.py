@@ -72,8 +72,6 @@ def _run_superadd(structure, sets, graph, extras):
 
 
 def _run_superadd_tf(structure, sets, graph, extras):
-    if not isinstance(structure, Lattice):
-        raise ValueError("superadd-tf expects lattice sets")
     m, images, preimages = torsion_free_reduce(sets)
     report, witness = verify_superadditivity(images)
     report = dataclasses.replace(report, name="superadd-tf")

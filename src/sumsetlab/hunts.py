@@ -32,7 +32,7 @@ from .algebra import (
     structure_from_json,
     structure_to_json,
 )
-from .sumsets import FiniteSet, _require_nonempty, sumset
+from .sumsets import FiniteSet, _require_nonempty, _set_from_json, sumset
 
 
 def _is_int(v) -> bool:
@@ -214,12 +214,12 @@ def replay(instance: dict, instance_index: int = 0) -> HuntRecord:
     """Re-evaluate a logged instance dict; reproduces lhs/rhs/slack exactly."""
     structure = structure_from_json(instance["structure"])
     if instance["question"] == "Q1":
-        sets = [FiniteSet.from_json(structure, vs) for vs in instance["sets"]]
+        sets = [_set_from_json(structure, vs, f"sets[{i}]") for i, vs in enumerate(instance["sets"])]
         return eval_question1(structure, sets, instance_index)
     if instance["question"] == "Q2":
-        a = FiniteSet.from_json(structure, instance["A"])
-        bs = [FiniteSet.from_json(structure, vs) for vs in instance["Bs"]]
-        s = FiniteSet.from_json(structure, instance["S"])
+        a = _set_from_json(structure, instance["A"], "A")
+        bs = [_set_from_json(structure, vs, f"Bs[{i}]") for i, vs in enumerate(instance["Bs"])]
+        s = _set_from_json(structure, instance["S"], "S")
         return eval_question2(a, bs, s, instance_index)
     raise ValueError(f"unknown question {instance.get('question')!r}")
 
@@ -242,15 +242,15 @@ def _masks_by_value(n: int, cap: int):
     return heapq.merge(*(same_popcount(s) for s in range(1, min(cap, n) + 1)))
 
 
-def _subsets_in_canonical_order(carrier: list, cap: int, limit: int) -> list:
+def _subsets_in_canonical_order(carrier: list, cap: int, limit: int):
     """Up to `limit` subsets of the carrier, by ascending bitmask over the
-    canonical element order."""
-    out = []
-    for mask in _masks_by_value(len(carrier), cap):
-        out.append([carrier[j] for j in range(len(carrier)) if mask >> j & 1])
-        if len(out) >= limit:
-            break
-    return out
+    canonical element order, made one at a time as they are read."""
+    n = len(carrier)
+    subsets = (
+        [carrier[j] for j in range(n) if mask >> j & 1]
+        for mask in _masks_by_value(n, cap)
+    )
+    return itertools.islice(subsets, limit)
 
 
 @functools.cache

@@ -8,7 +8,9 @@ cross-multiplications (for example |S|^(k-1) <= prod |S_i| instead of a
 Witness constructions mirror the proofs they certify:
 
   * superadditivity: k-1 marked copies of S, built from endpoint sets after
-    translating every summand's minimum to 0;
+    translating every summand's minimum to 0, and carried from Z^d to Z by
+    z -> m z_1 + ... + m^d z_d with m = 1 + 2k max|coordinate|, injective on
+    every sum of at most k summands by uniqueness of balanced base-m digits;
   * submultiplicativity: the lexicographically minimal decomposition of each
     sumset element, whose coordinate-deleting projections have pairwise
     distinct sums;
@@ -214,7 +216,7 @@ def verify_superadditivity(sets: list[FiniteSet]):
     endpoints = endpoint_sets(originals)
 
     # Translated picture: every summand's minimum becomes 0.
-    tsets = [FiniteSet(structure, tuple(x - s.min() for x in s)) for s in sets]
+    tsets = [FiniteSet._unchecked(structure, tuple(x - s.min() for x in s)) for s in sets]
     a = [t.max() for t in tsets]
     prefix = [0] * (k + 1)
     for j in range(1, k + 1):
@@ -222,7 +224,7 @@ def verify_superadditivity(sets: list[FiniteSet]):
 
     big = sumset(structure, tsets)
     sis = [leave_one_out(structure, tsets, i) for i in range(1, k + 1)]
-    tendpoints = [FiniteSet(structure, (0, ai)) for ai in a]
+    tendpoints = [FiniteSet._unchecked(structure, (0, ai) if ai else (0,)) for ai in a]
     sprime_parts = [
         sumset(structure, tsets[:j] + [tendpoints[j]] + tsets[j + 1 :])
         for j in range(k)
@@ -230,7 +232,7 @@ def verify_superadditivity(sets: list[FiniteSet]):
     sprime_elems = set()
     for part in sprime_parts:
         sprime_elems |= set(part)
-    sprime = FiniteSet(structure, tuple(sprime_elems))
+    sprime = FiniteSet._unchecked(structure, tuple(sorted(sprime_elems)))
 
     marked = []
     for i in range(1, k):
@@ -270,13 +272,14 @@ def verify_superadditivity(sets: list[FiniteSet]):
 def torsion_free_reduce(sets: list[FiniteSet]):
     """Collapse lattice sets to integer sets through z -> m z_1 + ... + m^d z_d.
 
-    The multiplier starts at 1 + 2k * (max absolute coordinate) and doubles
-    until the map is injective on the union of all summands, their full sum,
-    every leave-one-out sum, and every endpoint-replaced sum; injectivity is
-    certified by enumeration, never assumed. Returns (m, images,
-    endpoint_preimages) where images are the integer images of the summands
-    and endpoint_preimages are the at-most-two-element lattice preimages of
-    each image's endpoints.
+    m = 1 + 2kB, with B the largest absolute coordinate. The summands, their
+    full sum and its leave-one-out sums are sums of at most k summand points,
+    whose coordinates lie in [-kB, kB], the range of balanced base-m digits;
+    balanced expansions are unique, so the map is injective on them (the
+    endpoint-replaced sums lie inside the full sum). Injectivity is still
+    certified by enumeration; a failure raises TheoremViolationError. Returns
+    (m, images, endpoint_preimages): the integer images of the summands and
+    the at-most-two-element lattice preimages of each image's endpoints.
     """
     _require_nonempty(sets)
     structure = sets[0].structure
@@ -284,35 +287,28 @@ def torsion_free_reduce(sets: list[FiniteSet]):
         raise ValueError("torsion-free reduction expects lattice sets")
     k = len(sets)
     zint = Integers()
-    coord_bound = max((abs(c) for s in sets for z in s for c in z), default=0)
-    m = 1 + 2 * k * coord_bound
+    m = 1 + 2 * k * max(abs(c) for s in sets for z in s for c in z)
 
-    while True:
-        def phi(z, m=m):
-            return sum(c * m ** (j + 1) for j, c in enumerate(z))
+    def phi(z):
+        return sum(c * m ** (j + 1) for j, c in enumerate(z))
 
-        images = [FiniteSet(zint, tuple(phi(z) for z in s)) for s in sets]
-        preimages = []
-        for s, img in zip(sets, images):
-            targets = {img.min(), img.max()}
-            preimages.append(
-                FiniteSet(structure, tuple(z for z in s if phi(z) in targets))
-            )
+    relevant = set(sumset(structure, sets))
+    for s in sets:
+        relevant.update(s)
+    if k >= 2:
+        for i in range(1, k + 1):
+            relevant.update(leave_one_out(structure, sets, i))
+    if len(set(map(phi, relevant))) != len(relevant):
+        raise TheoremViolationError(
+            f"THEOREM VIOLATION: z -> m z_1 + ... + m^d z_d with m = {m} is not injective"
+        )
 
-        relevant = set()
-        for s in sets:
-            relevant |= set(s)
-        relevant |= set(sumset(structure, sets))
-        if k >= 2:
-            for i in range(1, k + 1):
-                relevant |= set(leave_one_out(structure, sets, i))
-        for j in range(k):
-            replaced = sets[:j] + [preimages[j]] + sets[j + 1 :]
-            relevant |= set(sumset(structure, replaced))
-
-        if len({phi(z) for z in relevant}) == len(relevant):
-            return m, images, preimages
-        m *= 2
+    images = [FiniteSet._unchecked(zint, tuple(sorted(map(phi, s)))) for s in sets]
+    preimages = [
+        FiniteSet._unchecked(structure, tuple(z for z in s if phi(z) in (img.min(), img.max())))
+        for s, img in zip(sets, images)
+    ]
+    return m, images, preimages
 
 
 # --- Submultiplicative upper bound ------------------------------------------

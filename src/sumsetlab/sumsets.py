@@ -72,7 +72,7 @@ class FiniteSet:
 
     @classmethod
     def from_json(cls, structure, values):
-        return cls(structure, tuple(structure.element_from_json(v) for v in values))
+        return _set_from_json(structure, values, "")
 
 
 @dataclass(frozen=True)
@@ -281,12 +281,19 @@ def instance_to_json(structure, sets, graph=None, **extras):
     return obj
 
 
-def _element_at(structure, v, path):
-    """Decode one element, naming its path in the instance if it is malformed."""
-    try:
-        return structure.element_from_json(v)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+def _set_from_json(structure, values, path):
+    """Decode a JSON element array, naming the path of a malformed element
+    (path[j]). The element decoders validate what they return, so the set is
+    built unchecked."""
+    if not isinstance(values, list):
+        raise ValueError(f"{path}: expected an array of elements")
+    elements = set()
+    for j, v in enumerate(values):
+        try:
+            elements.add(structure.element_from_json(v))
+        except ValueError as exc:
+            raise ValueError(f"{path}[{j}]: {exc}") from None
+    return FiniteSet._unchecked(structure, tuple(sorted(elements)))
 
 
 def instance_from_json(obj):
@@ -303,11 +310,7 @@ def instance_from_json(obj):
     sets = obj["sets"]
     if not isinstance(sets, list) or not all(isinstance(vs, list) for vs in sets):
         raise ValueError("sets: expected an array of element arrays")
-    sets = [
-        FiniteSet(structure, tuple(_element_at(structure, v, f"sets[{i}][{j}]")
-                                   for j, v in enumerate(vs)))
-        for i, vs in enumerate(sets)
-    ]
+    sets = [_set_from_json(structure, vs, f"sets[{i}]") for i, vs in enumerate(sets)]
     graph = None
     if obj.get("graph") is not None:
         if not sets:

@@ -297,6 +297,7 @@ MALFORMED = [
     ("verify", "superadd", {"structure": {"Zd": 2}, "sets": [[[0, 0], [1]]]}, "sets[0][1]: "),
     ("verify", "superadd", {"structure": {"Sym": 3}, "sets": [[[1, 2, 3]], [[2, 1, 3], [1, 1, 2]]]},
      "sets[1][1]: "),
+    ("verify", "superadd-tf", {"structure": "Z", "sets": [[0, 1], [2]]}, "lattice"),
 ]
 
 

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -114,6 +115,14 @@ def test_replay_reproduces_records(rng):
     b = int_set(0, 2)
     record2 = eval_question2(int_set(0, 1), [b, b, b], int_set(0, 4), instance_index=3)
     assert replay(record2.instance, instance_index=3) == record2
+
+    # a malformed logged element is named by its path in the record
+    with pytest.raises(ValueError, match=r"^sets\[2\]\[1\]: "):
+        replay(dict(record.instance, sets=[[[1, 2, 3]], [[1, 2, 3]], [[1, 2, 3], [1, 1, 2]]]))
+    with pytest.raises(ValueError, match=r"^Bs\[1\]\[0\]: "):
+        replay(dict(record2.instance, Bs=[[0, 2], ["x"], [0, 2]]))
+    with pytest.raises(ValueError, match=r"^A: expected an array"):
+        replay(dict(record2.instance, A=5))
 
 
 def test_config_validation():
@@ -233,6 +242,19 @@ def test_unranking_lists_combinations_in_order():
             rows = hunts._binomials(n, s)
             ranked = [hunts._unrank_combination(n, s, r, rows) for r in range(math.comb(n, s))]
             assert ranked == [list(c) for c in itertools.combinations(range(n), s)]
+
+
+def test_exhaustive_subsets_are_made_as_read():
+    tracemalloc.start()
+    try:
+        subsets = hunts._subsets_in_canonical_order(list(range(40)), 4, 10**6)
+        first = next(iter(subsets))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == [0]
+    # all 102,090 subsets of at most 4 of the 40 elements would take megabytes
+    assert peak < 256 * 1024
 
 
 def test_different_seeds_differ(tmp_path):

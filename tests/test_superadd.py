@@ -4,11 +4,13 @@ import random
 
 import pytest
 
+from sumsetlab import inequalities
 from sumsetlab import (
     FiniteSet,
     Integers,
     Lattice,
     Residues,
+    TheoremViolationError,
     endpoint_sets,
     leave_one_out,
     sumset,
@@ -126,7 +128,7 @@ def test_reduce_dimension_one_accepts_first_multiplier():
     lat = Lattice(1)
     sets = [FiniteSet(lat, ((0,), (3,))), FiniteSet(lat, ((1,), (5,)))]
     m, images, preimages = torsion_free_reduce(sets)
-    # scaling is injective on the integers, so the schedule's start is kept
+    # m = 1 + 2kB with k = 2 summands and largest absolute coordinate B = 5
     assert m == 1 + 2 * 2 * 5
     assert [i.elements for i in images] == [(0, 3 * m), (m, 5 * m)]
     assert [p.elements for p in preimages] == [((0,), (3,)), ((1,), (5,))]
@@ -142,6 +144,31 @@ def test_reduce_two_dim_example():
     assert [sorted(_phi(10, z) for z in s) for s in sets] == [[0, 10], [0, 100]]
 
 
+def test_reduce_multiplier_is_tight():
+    # at m = 4 the full sum's points (-2, 1) and (2, 0) both map to 8
+    lat = Lattice(2)
+    sets = [FiniteSet(lat, ((-1, 0), (1, 0))), FiniteSet(lat, ((-1, 1), (1, 0)))]
+    m, _, _ = torsion_free_reduce(sets)
+    assert m == 1 + 2 * 2 * 1
+    full = brute_sumset(lat, sets)
+    assert len({_phi(m - 1, z) for z in full}) < len(full)
+    assert len({_phi(m, z) for z in full}) == len(full)
+
+
+def test_reduce_certificate_failure_raises(monkeypatch):
+    # (-4, 1) and (1, 0) both map to 5 at m = 5
+    lat = Lattice(2)
+    sets = [FiniteSet(lat, ((0, 0), (1, 0))), FiniteSet(lat, ((0, 0), (0, 1)))]
+    honest = inequalities.leave_one_out
+
+    def leave_one_out_with_collision(structure, sets, i):
+        return FiniteSet(structure, honest(structure, sets, i).elements + ((-4, 1),))
+
+    monkeypatch.setattr(inequalities, "leave_one_out", leave_one_out_with_collision)
+    with pytest.raises(TheoremViolationError, match="not injective"):
+        torsion_free_reduce(sets)
+
+
 def test_reduce_singletons_any_multiplier():
     lat = Lattice(2)
     sets = [FiniteSet(lat, ((1, 1),)), FiniteSet(lat, ((2, 3),))]
@@ -150,35 +177,52 @@ def test_reduce_singletons_any_multiplier():
     assert [p.elements for p in preimages] == [((1, 1),), ((2, 3),)]
 
 
+def _random_lattice_sets(rng, lat, k, corner):
+    """k random sets in [-B, B]^d, B drawn from 1..5. A corner instance puts
+    the points (B, ..., B) and (-B, ..., -B) in every set, so its sums reach
+    the coordinates kB and -kB."""
+    bound = rng.randrange(1, 6)
+    draws = (-bound, bound) if corner else range(-bound, bound + 1)
+    extremes = ((bound,) * lat.dim, (-bound,) * lat.dim) if corner else ()
+    return [
+        FiniteSet(
+            lat,
+            extremes + tuple(
+                tuple(rng.choice(draws) for _ in range(lat.dim))
+                for _ in range(rng.randrange(1, 4))
+            ),
+        )
+        for _ in range(k)
+    ]
+
+
 def test_reduce_certifies_injectivity_and_feeds_superadditivity():
     rng = random.Random(1618)
-    lat = Lattice(2)
-    for _ in range(100):
-        k = rng.choice([2, 3])
-        sets = [
-            FiniteSet(
-                lat,
-                tuple(
-                    (rng.randrange(-5, 6), rng.randrange(-5, 6))
-                    for _ in range(rng.randrange(1, 5))
-                ),
-            )
-            for _ in range(k)
-        ]
+    for n in range(192):
+        lat = Lattice(1 + n % 4)
+        k = 1 + n // 4 % 4
+        sets = _random_lattice_sets(rng, lat, k, corner=n % 32 >= 16)
         m, images, preimages = torsion_free_reduce(sets)
+        assert m == 1 + 2 * k * max(abs(c) for s in sets for z in s for c in z)
         assert all(1 <= len(p) <= 2 for p in preimages)
         # independent injectivity recheck on every relevant point set
         relevant = set().union(*[set(s) for s in sets])
         relevant |= brute_sumset(lat, sets)
-        for i in range(1, k + 1):
-            relevant |= set(leave_one_out(lat, sets, i))
         for j in range(k):
+            if k > 1:
+                relevant |= brute_sumset(lat, sets[:j] + sets[j + 1 :])
             relevant |= brute_sumset(lat, sets[:j] + [preimages[j]] + sets[j + 1 :])
         assert len({_phi(m, z) for z in relevant}) == len(relevant)
         # images are the embedded sets
         assert [img.elements for img in images] == [
             tuple(sorted(_phi(m, z) for z in s)) for s in sets
         ]
+        assert [p.elements for p in preimages] == [
+            tuple(z for z in s if _phi(m, z) in (img.min(), img.max()))
+            for s, img in zip(sets, images)
+        ]
+        if k == 1:
+            continue
         # the lattice-side bound holds through the endpoint preimages
         big = len(sumset(lat, sets))
         sprime = set()
