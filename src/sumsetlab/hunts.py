@@ -12,8 +12,13 @@ is a finding, never an error: hunts run to budget and the CLI signals findings
 through its exit status.
 
 Determinism contract: given the same config (seed included), two runs produce
-byte-identical logs. Randomness goes exclusively through randrange-based
-subset unranking, and instances are enumerated or drawn in a fixed order.
+byte-identical logs. One instance stream, _instances, serves both questions
+and both modes: it enumerates or draws the sets in a fixed order, and its
+randomness goes exclusively through randrange-based subset unranking. A
+checkpoint records the config that fixes the stream, and a resume under any
+other config is refused, so a resumed log is always one a single run would
+write. replay re-evaluates a logged instance and names the field of a
+malformed one.
 """
 
 from __future__ import annotations
@@ -211,17 +216,28 @@ def eval_question2(a: FiniteSet, bs: list[FiniteSet], s: FiniteSet, instance_ind
 
 
 def replay(instance: dict, instance_index: int = 0) -> HuntRecord:
-    """Re-evaluate a logged instance dict; reproduces lhs/rhs/slack exactly."""
+    """Re-evaluate a logged instance dict; reproduces lhs/rhs/slack exactly.
+    A malformed instance raises ValueError naming the field."""
+    if not isinstance(instance, dict):
+        raise ValueError("instance: expected a JSON object")
+    question = instance.get("question")
+    fields = ("sets",) if question == "Q1" else ("A", "Bs", "S") if question == "Q2" else ()
+    for key in ("question", "structure", *fields):
+        if key not in instance:
+            raise ValueError(f"instance is missing required field {key!r}")
+    if not fields:
+        raise ValueError(f"unknown question {question!r}")
     structure = structure_from_json(instance["structure"])
-    if instance["question"] == "Q1":
-        sets = [_set_from_json(structure, vs, f"sets[{i}]") for i, vs in enumerate(instance["sets"])]
-        return eval_question1(structure, sets, instance_index)
-    if instance["question"] == "Q2":
-        a = _set_from_json(structure, instance["A"], "A")
-        bs = [_set_from_json(structure, vs, f"Bs[{i}]") for i, vs in enumerate(instance["Bs"])]
-        s = _set_from_json(structure, instance["S"], "S")
-        return eval_question2(a, bs, s, instance_index)
-    raise ValueError(f"unknown question {instance.get('question')!r}")
+
+    def sets(key):
+        if not isinstance(instance[key], list):
+            raise ValueError(f"{key}: expected an array of element arrays")
+        return [_set_from_json(structure, vs, f"{key}[{i}]") for i, vs in enumerate(instance[key])]
+
+    if question == "Q1":
+        return eval_question1(structure, sets("sets"), instance_index)
+    a, bs = _set_from_json(structure, instance["A"], "A"), sets("Bs")
+    return eval_question2(a, bs, _set_from_json(structure, instance["S"], "S"), instance_index)
 
 
 # --- Instance generation -------------------------------------------------------
@@ -303,67 +319,41 @@ def _draw_subset(rng: random.Random, carrier: list, cap: int) -> list:
     return [carrier[i] for i in _unrank_combination(n, size, r, rows)]
 
 
-# The instance generators draw ascending subsets of sorted carriers of valid
-# elements, so they build their sets unchecked.
-def _q1_instances(config: HuntConfig):
-    structure = config.structure
-    carrier = sorted(structure.elements())
-    budget = config.instance_budget
-    if config.mode == "exhaustive":
-        pools = [
-            _subsets_in_canonical_order(carrier, cap, budget)
-            for cap in config.size_caps
-        ]
-        gen = itertools.product(*pools)
+def _instances(config: HuntConfig):
+    """The budget's instances in log order, each the argument tuple of its
+    question's evaluator: (structure, sets) for Q1, (A, Bs, S) for Q2, with S
+    taken from B_1 + ... + B_k under the last cap. Exhaustive mode takes the
+    product of the canonical-order pools, read whole, and lists every S;
+    random mode draws A, B_1..B_k, then S. The sets are ascending subsets of
+    sorted carriers of valid elements, so they are built unchecked."""
+    structure, budget = config.structure, config.instance_budget
+    exhaustive, caps = config.mode == "exhaustive", config.size_caps
+    if config.question == "Q1":
+        carrier = sorted(structure.elements())
+    else:
+        carrier, caps, cap_s = list(range(config.value_range + 1)), caps[:-1], caps[-1]
+    if exhaustive:
+        draws = itertools.product(*[_subsets_in_canonical_order(carrier, cap, budget) for cap in caps])
     else:
         rng = random.Random(config.seed)
+        draws = ([_draw_subset(rng, carrier, cap) for cap in caps] for _ in itertools.count())
 
-        def randoms():
-            while True:
-                yield tuple(
-                    _draw_subset(rng, carrier, cap) for cap in config.size_caps
-                )
+    def stream():
+        for draw in draws:
+            sets = [FiniteSet._unchecked(structure, tuple(xs)) for xs in draw]
+            if config.question == "Q1":
+                yield structure, sets
+                continue
+            a, *bs = sets
+            total = list(sumset(structure, bs))
+            if exhaustive:
+                s_subsets = _subsets_in_canonical_order(total, cap_s, budget)
+            else:
+                s_subsets = (_draw_subset(rng, total, cap_s),)
+            for s in s_subsets:
+                yield a, bs, FiniteSet._unchecked(structure, tuple(s))
 
-        gen = randoms()
-    for combo in itertools.islice(gen, budget):
-        yield [FiniteSet._unchecked(structure, tuple(xs)) for xs in combo]
-
-
-def _q2_instances(config: HuntConfig):
-    structure = config.structure
-    carrier = list(range(config.value_range + 1))
-    budget = config.instance_budget
-    cap_a, *cap_bs, cap_s = config.size_caps
-
-    def build(a_elems, bs_elems, rng=None):
-        a = FiniteSet._unchecked(structure, tuple(a_elems))
-        bs = [FiniteSet._unchecked(structure, tuple(e)) for e in bs_elems]
-        total = list(sumset(structure, bs))
-        if rng is None:
-            for s_elems in _subsets_in_canonical_order(total, cap_s, budget):
-                yield a, bs, FiniteSet._unchecked(structure, tuple(s_elems))
-        else:
-            yield a, bs, FiniteSet._unchecked(structure, tuple(_draw_subset(rng, total, cap_s)))
-
-    if config.mode == "exhaustive":
-        a_pool = _subsets_in_canonical_order(carrier, cap_a, budget)
-        b_pools = [_subsets_in_canonical_order(carrier, c, budget) for c in cap_bs]
-
-        def gen():
-            for combo in itertools.product(a_pool, *b_pools):
-                yield from build(combo[0], combo[1:])
-
-        yield from itertools.islice(gen(), budget)
-    else:
-        rng = random.Random(config.seed)
-
-        def gen():
-            while True:
-                a_elems = _draw_subset(rng, carrier, cap_a)
-                bs_elems = [_draw_subset(rng, carrier, c) for c in cap_bs]
-                yield from build(a_elems, bs_elems, rng)
-
-        yield from itertools.islice(gen(), budget)
+    yield from itertools.islice(stream(), budget)
 
 
 @dataclass
@@ -404,12 +394,43 @@ def _truncate_log(path: str, records: int) -> None:
         fh.truncate()
 
 
-def _write_checkpoint(path: str, next_index: int) -> None:
+def _stream_config(config: HuntConfig) -> dict:
+    """The config fields that fix the instance stream. The budget is not one:
+    the first B records of every budget >= B are the same."""
+    run_only = ("instance_budget", "log_path", "checkpoint_path")
+    return {k: v for k, v in config.to_json().items() if k not in run_only}
+
+
+def _read_checkpoint(config: HuntConfig) -> int:
+    """The checkpoint's next_index, 0 when there is no checkpoint file. A
+    checkpoint written for another instance stream raises ValueError naming
+    the fields that differ."""
+    path = config.checkpoint_path
+    try:
+        with open(path) as fh:
+            body = json.load(fh)
+    except FileNotFoundError:
+        return 0
+    if not isinstance(body, dict) or not isinstance(body.get("config"), dict):
+        raise ValueError(f"{path}: checkpoint is missing required field 'config'")
+    next_index, stored = body.get("next_index"), body["config"]
+    if not _is_int(next_index) or next_index < 0:
+        raise ValueError(f"{path}: next_index: expected a nonnegative integer")
+    current = _stream_config(config)
+    changed = [k for k in sorted(current.keys() | stored.keys()) if stored.get(k) != current.get(k)]
+    if changed:
+        raise ValueError(
+            f"{path}: the checkpoint was written for a config that differs in {', '.join(changed)}"
+        )
+    return next_index
+
+
+def _write_checkpoint(config: HuntConfig, next_index: int) -> None:
     """Replace the checkpoint atomically: a reader sees the old or the new one."""
-    tmp = path + ".tmp"
+    tmp = config.checkpoint_path + ".tmp"
     with open(tmp, "w") as fh:
-        json.dump({"next_index": next_index}, fh)
-    os.replace(tmp, path)
+        json.dump({"config": _stream_config(config), "next_index": next_index}, fh)
+    os.replace(tmp, config.checkpoint_path)
 
 
 def run_hunt(config: HuntConfig) -> HuntSummary:
@@ -417,34 +438,24 @@ def run_hunt(config: HuntConfig) -> HuntSummary:
 
     Deterministic for a fixed config: identical logs byte for byte. Resumes
     from the checkpoint file when one exists: the log is cut back to the
-    checkpoint's record count (a resume the log cannot back raises
-    ValueError), the instance stream is replayed up to the recorded index,
-    and the log is appended to.
+    checkpoint's record count, the instance stream is replayed up to the
+    recorded index, and the log is appended to. A resume raises ValueError
+    when the checkpoint was written for another config (any field but the
+    budget and the paths) or the log holds fewer records than it.
     """
-    start_index = 0
-    if config.checkpoint_path:
-        try:
-            with open(config.checkpoint_path) as fh:
-                start_index = json.load(fh)["next_index"]
-        except FileNotFoundError:
-            start_index = 0
+    start_index = _read_checkpoint(config) if config.checkpoint_path else 0
     if start_index and config.log_path:
         _truncate_log(config.log_path, start_index)
 
-    if config.question == "Q1":
-        instances = _q1_instances(config)
-        evaluate = lambda inst, idx: eval_question1(config.structure, inst, idx)
-    else:
-        instances = _q2_instances(config)
-        evaluate = lambda inst, idx: eval_question2(*inst, instance_index=idx)
-
+    # Looked up per run, so a wrapper set on the module name sees every call.
+    evaluate = eval_question1 if config.question == "Q1" else eval_question2
     summary = HuntSummary(config)
     log = open(config.log_path, "a" if start_index else "w") if config.log_path else None
     try:
-        for index, inst in enumerate(instances):
+        for index, inst in enumerate(_instances(config)):
             if index < start_index:
                 continue
-            record = evaluate(inst, index)
+            record = evaluate(*inst, instance_index=index)
             if log is not None:
                 log.write(record.json_line() + "\n")
             summary.instances_run += 1
@@ -458,5 +469,5 @@ def run_hunt(config: HuntConfig) -> HuntSummary:
             log.close()
 
     if config.checkpoint_path:
-        _write_checkpoint(config.checkpoint_path, start_index + summary.instances_run)
+        _write_checkpoint(config, start_index + summary.instances_run)
     return summary

@@ -1,5 +1,7 @@
 """Hunt engine: evaluators, determinism, logging, checkpoint resume."""
 
+import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -123,6 +125,16 @@ def test_replay_reproduces_records(rng):
         replay(dict(record2.instance, Bs=[[0, 2], ["x"], [0, 2]]))
     with pytest.raises(ValueError, match=r"^A: expected an array"):
         replay(dict(record2.instance, A=5))
+    q1_without_structure = {k: v for k, v in record.instance.items() if k != "structure"}
+    with pytest.raises(ValueError, match="missing required field 'structure'"):
+        replay(q1_without_structure)
+    q2_without_bs = {k: v for k, v in record2.instance.items() if k != "Bs"}
+    with pytest.raises(ValueError, match="missing required field 'Bs'"):
+        replay(q2_without_bs)
+    with pytest.raises(ValueError, match=r"^Bs: expected an array"):
+        replay(dict(record2.instance, Bs=5))
+    with pytest.raises(ValueError, match=r"^instance: expected a JSON object"):
+        replay([record2.instance])
 
 
 def test_config_validation():
@@ -296,10 +308,14 @@ def test_checkpoint_resume_matches_single_run(tmp_path):
     ckpt = tmp_path / "ckpt.json"
     first = run_hunt(config(50, staged, ckpt))
     assert first.instances_run == 50
-    assert json.loads(ckpt.read_text()) == {"next_index": 50}
+    stream = {
+        "question": "Q1", "structure": {"Sym": 3}, "k": 3, "size_caps": [2, 2, 2],
+        "mode": "exhaustive", "seed": 0, "value_range": None,
+    }
+    assert json.loads(ckpt.read_text()) == {"config": stream, "next_index": 50}
     second = run_hunt(config(120, staged, ckpt))
     assert second.instances_run == 70
-    assert json.loads(ckpt.read_text()) == {"next_index": 120}
+    assert json.loads(ckpt.read_text()) == {"config": stream, "next_index": 120}
     assert staged.read_bytes() == oneshot.read_bytes()
 
 
@@ -333,18 +349,20 @@ def test_interrupted_resume_leaves_no_duplicate_records(tmp_path, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         run_hunt(config(200, staged, ckpt))
     assert len(staged.read_bytes().splitlines()) == 150
-    assert json.loads(ckpt.read_text()) == {"next_index": 100}
+    stream = {
+        "question": "Q2", "structure": "Z", "k": 3, "size_caps": [3, 3, 3, 3, 3],
+        "mode": "random", "seed": 4, "value_range": 15,
+    }
+    assert json.loads(ckpt.read_text()) == {"config": stream, "next_index": 100}
     monkeypatch.undo()
 
     assert run_hunt(config(200, staged, ckpt)).instances_run == 100
-    assert json.loads(ckpt.read_text()) == {"next_index": 200}
+    assert json.loads(ckpt.read_text()) == {"config": stream, "next_index": 200}
     assert staged.read_bytes() == clean.read_bytes()
 
 
 def test_resume_refuses_a_log_shorter_than_the_checkpoint(tmp_path):
     log, ckpt = tmp_path / "log.jsonl", tmp_path / "ckpt.json"
-    ckpt.write_text(json.dumps({"next_index": 5}))
-    log.write_text("{}\n" * 4)
     config = HuntConfig(
         question="Q2",
         structure=Integers(),
@@ -354,9 +372,71 @@ def test_resume_refuses_a_log_shorter_than_the_checkpoint(tmp_path):
         log_path=str(log),
         checkpoint_path=str(ckpt),
     )
+    stream = {
+        "question": "Q2", "structure": "Z", "k": 3, "size_caps": [3, 3, 3, 3, 3],
+        "mode": "random", "seed": 0, "value_range": 5,
+    }
+    ckpt.write_text(json.dumps({"config": stream, "next_index": 5}))
+    log.write_text("{}\n" * 4)
     with pytest.raises(ValueError, match="fewer than the checkpoint's 5 records"):
         run_hunt(config)
     assert log.read_text() == "{}\n" * 4
+
+
+@pytest.mark.parametrize(
+    "changes,named",
+    [
+        ({"seed": 1}, "seed"),
+        ({"value_range": 10}, "value_range"),
+        ({"seed": 1, "value_range": 10}, "seed, value_range"),
+        ({"size_caps": 4}, "size_caps"),
+    ],
+)
+def test_resume_refuses_a_changed_config(tmp_path, changes, named):
+    log, ckpt = tmp_path / "log.jsonl", tmp_path / "ckpt.json"
+    config = HuntConfig(
+        question="Q2",
+        structure=Integers(),
+        k=3,
+        size_caps=3,
+        value_range=15,
+        seed=0,
+        instance_budget=50,
+        log_path=str(log),
+        checkpoint_path=str(ckpt),
+    )
+    run_hunt(config)
+    written, body = log.read_bytes(), ckpt.read_text()
+    changed = dataclasses.replace(config, instance_budget=120, **changes)
+    with pytest.raises(ValueError, match=f"config that differs in {named}$"):
+        run_hunt(changed)
+    assert log.read_bytes() == written and ckpt.read_text() == body
+
+
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        ({"next_index": 5}, "missing required field 'config'"),
+        ({"config": "Q2", "next_index": 5}, "missing required field 'config'"),
+        ({"config": {"question": "Q2"}, "next_index": -1}, "next_index: expected a nonnegative integer"),
+    ],
+)
+def test_resume_refuses_a_malformed_checkpoint(tmp_path, body, message):
+    log, ckpt = tmp_path / "log.jsonl", tmp_path / "ckpt.json"
+    ckpt.write_text(json.dumps(body))
+    log.write_text("{}\n" * 5)
+    config = HuntConfig(
+        question="Q2",
+        structure=Integers(),
+        k=3,
+        value_range=5,
+        instance_budget=10,
+        log_path=str(log),
+        checkpoint_path=str(ckpt),
+    )
+    with pytest.raises(ValueError, match=message):
+        run_hunt(config)
+    assert log.read_text() == "{}\n" * 5
 
 
 def test_min_slack_identifies_closest_call(tmp_path):
@@ -372,3 +452,52 @@ def test_min_slack_identifies_closest_call(tmp_path):
     # singleton sets give |S| = 1 and every n_i = 1: slack 0 on every instance
     assert summary.min_slack == 0
     assert summary.min_slack_record.instance_index == 0
+
+
+# sha256(log)[:16] of one hunt per (question, mode) pair, with both k = 3 and
+# k = 4 and with caps that differ by position, so any change to the order in
+# which instances are enumerated, drawn or logged shows here.
+PINNED_LOGS = [
+    (dict(question="Q1", structure=Permutations(3), k=3, size_caps=2,
+          mode="exhaustive", instance_budget=500), "49d7fa5edec19f89"),
+    (dict(question="Q1", structure=Permutations(3), k=4, size_caps=[1, 2, 3, 2],
+          mode="random", seed=5, instance_budget=300), "0c5d62e4322ea4ea"),
+    (dict(question="Q2", structure=Integers(), k=3, size_caps=5, value_range=40,
+          mode="random", seed=20260808, instance_budget=400), "bd6666ccb3cdbf3f"),
+    (dict(question="Q2", structure=Integers(), k=3, size_caps=[2, 1, 2, 2, 3], value_range=6,
+          mode="exhaustive", instance_budget=2000), "37e761e5b9ed4765"),
+    (dict(question="Q2", structure=Integers(), k=4, size_caps=2, value_range=5,
+          mode="exhaustive", instance_budget=700), "006afe75c736752f"),
+]
+
+
+@pytest.mark.parametrize(
+    "fields,digest", PINNED_LOGS, ids=[f"{f['question']}-{f['mode']}-k{f['k']}" for f, _ in PINNED_LOGS]
+)
+def test_hunt_logs_are_pinned(tmp_path, fields, digest):
+    log = tmp_path / "hunt.jsonl"
+    summary = run_hunt(HuntConfig(log_path=str(log), **fields))
+    assert summary.instances_run == fields["instance_budget"]
+    assert hashlib.sha256(log.read_bytes()).hexdigest()[:16] == digest
+
+
+def test_run_hunt_calls_the_evaluator_seam_once_per_instance(monkeypatch):
+    """Wrappers set on hunts.eval_question1/eval_question2 see every call a
+    hunt makes; the benchmark's per-instance latencies rely on this."""
+    calls = {"eval_question1": [], "eval_question2": []}
+    for name, seen in calls.items():
+        evaluate = getattr(hunts, name)
+
+        def counting(*args, instance_index, _evaluate=evaluate, _seen=seen):
+            _seen.append(instance_index)
+            return _evaluate(*args, instance_index=instance_index)
+
+        monkeypatch.setattr(hunts, name, counting)
+    q1 = HuntConfig(question="Q1", structure=Permutations(3), k=3, size_caps=2,
+                    mode="exhaustive", instance_budget=40)
+    q2 = HuntConfig(question="Q2", structure=Integers(), k=3, size_caps=3, value_range=10,
+                    seed=3, instance_budget=30)
+    assert run_hunt(q1).instances_run == 40
+    assert calls == {"eval_question1": list(range(40)), "eval_question2": []}
+    assert run_hunt(q2).instances_run == 30
+    assert calls == {"eval_question1": list(range(40)), "eval_question2": list(range(30))}
