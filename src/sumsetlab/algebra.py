@@ -47,8 +47,7 @@ class AmbientStructure:
     """Base class for the ambient structures below.
 
     Subclasses provide ``compose`` (the associative law, unchecked),
-    ``validate`` and the carrier metadata. Invertible structures also provide
-    ``subtract`` so callers can run greedy decomposition searches.
+    ``validate`` and the carrier metadata.
     """
 
     is_commutative: bool = True
@@ -60,9 +59,6 @@ class AmbientStructure:
 
     def validate(self, x):
         raise NotImplementedError
-
-    def subtract(self, x, y):
-        raise TypeError(f"{self} has no inverse operation")
 
     def elements(self):
         """Yield the full carrier in canonical order (finite structures only)."""
@@ -98,9 +94,6 @@ class Integers(AmbientStructure):
     def compose(self, x, y):
         return x + y
 
-    def subtract(self, x, y):
-        return x - y
-
     def validate(self, x):
         if not isinstance(x, int) or isinstance(x, bool):
             raise _mismatch(self, x)
@@ -129,9 +122,6 @@ class Lattice(AmbientStructure):
 
     def compose(self, x, y):
         return tuple(a + b for a, b in zip(x, y))
-
-    def subtract(self, x, y):
-        return tuple(a - b for a, b in zip(x, y))
 
     def validate(self, x):
         if (
@@ -171,9 +161,6 @@ class Residues(AmbientStructure):
 
     def compose(self, x, y):
         return (x + y) % self.modulus
-
-    def subtract(self, x, y):
-        return (x - y) % self.modulus
 
     def validate(self, x):
         if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < self.modulus:
@@ -220,13 +207,6 @@ class Permutations(AmbientStructure):
 
     def compose(self, x, y):
         return tuple(y[i - 1] for i in x)
-
-    def subtract(self, x, y):
-        # z with compose(z, y) == x, i.e. z = x . y^{-1}
-        inv = [0] * self.degree
-        for i, v in enumerate(y):
-            inv[v - 1] = i + 1
-        return tuple(inv[i - 1] for i in x)
 
     def validate(self, x):
         if (
@@ -334,9 +314,6 @@ class DirectPower(AmbientStructure):
     def compose(self, x, y):
         return tuple(self.base.compose(a, b) for a, b in zip(x, y))
 
-    def subtract(self, x, y):
-        return tuple(self.base.subtract(a, b) for a, b in zip(x, y))
-
     def validate(self, x):
         if not isinstance(x, tuple) or len(x) != self.power:
             raise _mismatch(self, x)
@@ -404,6 +381,15 @@ def structure_to_json(structure: AmbientStructure):
 
 
 def structure_from_json(obj) -> AmbientStructure:
+    """Decode a structure; a malformed one raises ValueError prefixed with
+    the field name ``structure``."""
+    try:
+        return _structure_from_json(obj)
+    except ValueError as exc:
+        raise ValueError(f"structure: {exc}") from None
+
+
+def _structure_from_json(obj) -> AmbientStructure:
     if obj == "Z":
         return Integers()
     if isinstance(obj, dict) and len(obj) == 1:
@@ -419,5 +405,5 @@ def structure_from_json(obj) -> AmbientStructure:
         if tag == "Power":
             if not isinstance(arg, dict) or not {"base", "k"} <= arg.keys():
                 raise ValueError(f"Power structure needs an object with 'base' and 'k', got {arg!r}")
-            return DirectPower(structure_from_json(arg["base"]), _decode_int(arg["k"]))
+            return DirectPower(_structure_from_json(arg["base"]), _decode_int(arg["k"]))
     raise ValueError(f"unknown structure encoding {obj!r}")

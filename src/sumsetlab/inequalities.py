@@ -339,9 +339,12 @@ class LexDecomposition:
 def lex_min_decomposition(structure: AmbientStructure, sets: list[FiniteSet]) -> LexDecomposition:
     """For each s in the sumset, the lex-min index tuple decomposing it.
 
-    Invertible structures use a greedy digit-by-digit selection against
-    suffix-sumset membership tables; subtraction-free semigroups enumerate
-    all index tuples in lex order. Raises TheoremViolationError if, for some
+    One pass per summand from the right, over any commutative semigroup. The
+    tail of a lex-min tuple is the lex-min tuple of its own suffix sum, so
+    the table for A_j + ... + A_k maps each value to its lex-min tuple.
+    Extending it by A_{j-1} visits the pairs (position, tail) in ascending
+    lex order, and the first pair that hits a value is its minimum; no
+    subtraction is needed. Raises TheoremViolationError if, for some
     coordinate j, two distinct projected tuples share the same element sum
     (they never do: replacing the j-th coordinate of the later tuple would
     produce a smaller decomposition of the same element).
@@ -356,36 +359,16 @@ def lex_min_decomposition(structure: AmbientStructure, sets: list[FiniteSet]) ->
     k = len(orders)
     compose = structure.compose
 
-    mapping = {}
-    if structure.invertible:
-        subtract = structure.subtract
-        suffix = [None] * (k + 1)
-        suffix[k - 1] = set(orders[k - 1])
-        for j in range(k - 2, -1, -1):
-            suffix[j] = {compose(c, t) for c in orders[j] for t in suffix[j + 1]}
-        for target in suffix[0]:
-            rem = target
-            idx = []
-            for j in range(k - 1):
-                nxt = suffix[j + 1]
-                for pos, c in enumerate(orders[j]):
-                    r = subtract(rem, c)
-                    if r in nxt:
-                        idx.append(pos + 1)
-                        rem = r
-                        break
-                else:
-                    raise TheoremViolationError(
-                        "THEOREM VIOLATION: greedy decomposition dead end"
-                    )
-            idx.append(orders[k - 1].index(rem) + 1)
-            mapping[target] = tuple(idx)
-    else:
-        for idx in itertools.product(*(range(len(o)) for o in orders)):
-            value = orders[0][idx[0]]
-            for j in range(1, k):
-                value = compose(value, orders[j][idx[j]])
-            mapping.setdefault(value, tuple(i + 1 for i in idx))
+    # Insertion order is ascending lex order of the stored tuples.
+    mapping = {c: (pos,) for pos, c in enumerate(orders[-1], 1)}
+    for order in reversed(orders[:-1]):
+        prefixed = {}
+        for pos, c in enumerate(order, 1):
+            for t, tail in mapping.items():
+                s = compose(c, t)
+                if s not in prefixed:
+                    prefixed[s] = (pos,) + tail
+        mapping = prefixed
 
     b_set = tuple(sorted(mapping.values()))
     if len(set(b_set)) != len(mapping):
@@ -428,7 +411,11 @@ def verify_submultiplicativity(structure: AmbientStructure, sets: list[FiniteSet
 
 def verify_projection_lemma(points) -> InequalityReport:
     """Check |B|^(d-1) <= prod |B_i| for the d coordinate-deleting projections."""
-    pts = set(tuple(p) for p in points)
+    pts = set()
+    for p in points:
+        if not isinstance(p, (tuple, list)):
+            raise ValueError(f"projection needs points that are d-tuples, got {p!r}")
+        pts.add(tuple(p))
     if not pts:
         raise ValueError("nonempty sets required")
     arities = {len(p) for p in pts}

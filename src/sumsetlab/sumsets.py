@@ -126,12 +126,20 @@ class AdditionGraph:
         edges = obj.get("edges") if isinstance(obj, dict) else None
         if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
             raise ValueError("graph: expected {\"edges\": [[i, j], ...]} with 1-based indices")
-        edges = frozenset((_decode_int(i) - 1, _decode_int(j) - 1) for i, j in edges)
+        decoded = set()
+        for edge in edges:
+            try:
+                i, j = map(_decode_int, edge)
+            except ValueError as exc:
+                raise ValueError(f"graph: edge {edge}: {exc}") from None
+            if not (1 <= i <= left_size and 1 <= j <= right_size):
+                raise ValueError(f"graph: edge {edge} out of range 1..{left_size} x 1..{right_size}")
+            decoded.add((i - 1, j - 1))
         symmetric, loops = obj.get("symmetric", False), obj.get("loops", True)
         for key, flag in (("symmetric", symmetric), ("loops", loops)):
             if not isinstance(flag, bool):
                 raise ValueError(f"graph: {key!r} must be true or false, got {flag!r}")
-        return cls(left_size, right_size, edges, symmetric, loops)
+        return cls(left_size, right_size, frozenset(decoded), symmetric, loops)
 
 
 def _require_same_structure(structure, sets):

@@ -298,6 +298,18 @@ MALFORMED = [
     ("verify", "superadd", {"structure": {"Sym": 3}, "sets": [[[1, 2, 3]], [[2, 1, 3], [1, 1, 2]]]},
      "sets[1][1]: "),
     ("verify", "superadd-tf", {"structure": "Z", "sets": [[0, 1], [2]]}, "lattice"),
+    ("verify", "projection", {"structure": "Z", "sets": [[1, 2]]}, "d-tuples"),
+    ("verify", "projection", {"structure": {"Intersect": 3}, "sets": [[1, 2]]}, "d-tuples"),
+    ("verify", "superadd", {"structure": 7, "sets": [[0]]}, "structure: unknown structure encoding 7"),
+    ("verify", "superadd", {"structure": {"Zd": 0}, "sets": [[[0]]]}, "structure: lattice dimension"),
+    ("verify", "superadd", {"structure": {"Zmod": 0}, "sets": [[0]]}, "structure: modulus"),
+    # a nested base is named once, not once per level
+    ("verify", "superadd", {"structure": {"Power": {"base": {"Zd": 0}, "k": 2}}, "sets": [[[[0], [0]]]]},
+     "error: structure: lattice dimension"),
+    ("hunt", None, dict(HUNT_Q2, structure=7), "structure: unknown structure encoding 7"),
+    ("hunt", None, dict(HUNT_Q2, structure={"Zmod": 0}), "structure: modulus"),
+    ("verify", "graphsum", {"structure": "Z", "sets": [[1, 2]], "graph": {"edges": [[0, 1]]}},
+     "graph: edge [0, 1] out of range"),
 ]
 
 

@@ -135,6 +135,8 @@ def test_replay_reproduces_records(rng):
         replay(dict(record2.instance, Bs=5))
     with pytest.raises(ValueError, match=r"^instance: expected a JSON object"):
         replay([record2.instance])
+    with pytest.raises(ValueError, match=r"^structure: unknown structure encoding 7$"):
+        replay(dict(record2.instance, structure=7))
 
 
 def test_config_validation():

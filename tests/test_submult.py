@@ -6,6 +6,7 @@ import random
 import pytest
 
 from sumsetlab import (
+    DirectPower,
     FiniteSet,
     Integers,
     IntersectionSemigroup,
@@ -77,22 +78,32 @@ def _random_sets(rng, structure, k, max_size):
     elif isinstance(structure, IntersectionSemigroup):
         pool = range(1 << structure.universe)
         pick = lambda: rng.sample(pool, rng.randrange(1, max_size + 1))
+    elif isinstance(structure, DirectPower):
+        pool = list(structure.elements())
+        pick = lambda: rng.sample(pool, rng.randrange(1, max_size + 1))
     else:
         raise AssertionError(structure)
     return [FiniteSet(structure, tuple(pick())) for _ in range(k)]
 
 
-def test_greedy_lex_path_matches_enumeration_oracle():
+def test_lex_decomposition_matches_enumeration_oracle():
     rng = random.Random(99)
-    for structure in (Integers(), Residues(11), Lattice(2)):
+    structures = (
+        Integers(),
+        Residues(11),
+        Lattice(2),
+        IntersectionSemigroup(6),
+        DirectPower(Residues(5), 2),
+    )
+    for structure in structures:
         for _ in range(70):
-            sets = _random_sets(rng, structure, rng.choice([2, 3]), 5)
+            sets = _random_sets(rng, structure, rng.choice([2, 3, 4]), 5)
             lex = lex_min_decomposition(structure, sets)
             assert lex.mapping == brute_lex_map(structure, sets)
 
 
-def test_greedy_lex_path_over_abelian_permutations():
-    # Sym(2) is abelian and invertible, so it takes the greedy path
+def test_lex_decomposition_over_abelian_permutations():
+    # Sym(d) is abelian only for d <= 2, so Sym(2) is the one nontrivial case
     sym = Permutations(2)
     e, t = (1, 2), (2, 1)
     sets = [FiniteSet(sym, (e, t)), FiniteSet(sym, (e, t))]
