@@ -19,7 +19,9 @@ Witness constructions mirror the proofs they certify:
     ruled out by a proven lower bound on |X + T| (|X| + |T| - 1 in Z and
     Z^d, min(p, |X| + |T| - 1) in Z/p for p prime, max(|X|, |T|) in any
     other group) and reads each union from two half tables of 2^(|A|/2)
-    entries.
+    entries. Every union is an int bitmask: integers by shifting, and every
+    other group by an index that gives each element of A + T the next bit
+    the first time it appears.
 
 Failures of proven statements raise TheoremViolationError: they signal an
 implementation bug, never a mathematical discovery.
@@ -531,7 +533,10 @@ def _first_valid_subset(structure, a: FiniteSet, target: FiniteSet, valid):
 
     The scan starts at the smallest popcount p0 passing that test and visits
     only masks with at least p0 bits. Each union of translates is
-    lo[low half of mask] | hi[high half], from two tables of 2^(n/2) entries.
+    lo[low half of mask] | hi[high half], from two tables of 2^(n/2) entries,
+    and |X + T| is its popcount. A translate x + T is an int bitmask: T's
+    bitmask shifted by x - min(A) in Z; elsewhere one bit per element of
+    A + T, numbered in the order the elements first appear.
     """
     n = len(a)
     if n > SUBSET_SEARCH_CAP:
@@ -545,11 +550,14 @@ def _first_valid_subset(structure, a: FiniteSet, target: FiniteSet, valid):
             tbits |= 1 << (x - tlo)
         alo = xs[0]
         translates = [tbits << (x - alo) for x in xs]
-        empty, count, growth, cap = 0, int.bit_count, t - 1, n + t
+        growth, cap = t - 1, n + t
     else:
-        compose = structure.compose
-        translates = [frozenset([compose(x, y) for y in ts]) for x in xs]
-        empty, count = frozenset(), len
+        compose, index, translates = structure.compose, {}, []
+        for x in xs:
+            u = 0
+            for y in ts:
+                u |= 1 << index.setdefault(compose(x, y), len(index))
+            translates.append(u)
         growth = t - 1 if isinstance(structure, Lattice) or (
             isinstance(structure, Residues) and _is_prime(structure.modulus)
         ) else 0
@@ -565,7 +573,8 @@ def _first_valid_subset(structure, a: FiniteSet, target: FiniteSet, valid):
         p0 += 1
     # Translate r joins its half table when the scan reaches masks < 2^(r+1).
     h = n >> 1
-    lo, hi = [empty], [empty]
+    lo, hi = [0], [0]
+    count = int.bit_count
     low = (1 << h) - 1
     mask, bits = (1 << p0) - 1, p0
     for r, u in enumerate(translates):

@@ -126,6 +126,10 @@ class AdditionGraph:
         edges = obj.get("edges") if isinstance(obj, dict) else None
         if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
             raise ValueError("graph: expected {\"edges\": [[i, j], ...]} with 1-based indices")
+        symmetric, loops = obj.get("symmetric", False), obj.get("loops", True)
+        for key, flag in (("symmetric", symmetric), ("loops", loops)):
+            if not isinstance(flag, bool):
+                raise ValueError(f"graph: {key!r} must be true or false, got {flag!r}")
         decoded = set()
         for edge in edges:
             try:
@@ -134,11 +138,9 @@ class AdditionGraph:
                 raise ValueError(f"graph: edge {edge}: {exc}") from None
             if not (1 <= i <= left_size and 1 <= j <= right_size):
                 raise ValueError(f"graph: edge {edge} out of range 1..{left_size} x 1..{right_size}")
+            if i == j and not loops:
+                raise ValueError(f"graph: edge {edge} is a loop but loops are disallowed")
             decoded.add((i - 1, j - 1))
-        symmetric, loops = obj.get("symmetric", False), obj.get("loops", True)
-        for key, flag in (("symmetric", symmetric), ("loops", loops)):
-            if not isinstance(flag, bool):
-                raise ValueError(f"graph: {key!r} must be true or false, got {flag!r}")
         return cls(left_size, right_size, frozenset(decoded), symmetric, loops)
 
 

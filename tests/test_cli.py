@@ -310,6 +310,8 @@ MALFORMED = [
     ("hunt", None, dict(HUNT_Q2, structure={"Zmod": 0}), "structure: modulus"),
     ("verify", "graphsum", {"structure": "Z", "sets": [[1, 2]], "graph": {"edges": [[0, 1]]}},
      "graph: edge [0, 1] out of range"),
+    ("verify", "graphsum", {"structure": "Z", "sets": [[1, 2]], "graph": {"edges": [[1, 1]], "loops": False}},
+     "graph: edge [1, 1] is a loop but loops are disallowed"),
 ]
 
 

@@ -13,6 +13,7 @@ from sumsetlab import (
     Integers,
     IntersectionSemigroup,
     Lattice,
+    Permutations,
     Residues,
     construct_large_subset,
     find_plunnecke_subset,
@@ -93,6 +94,10 @@ SCAN_STRUCTURES = {
     "3Z/12": (Residues(12), lambda rng: rng.randrange(0, 12, 3)),
     "Z^2": (Lattice(2), lambda rng: (rng.randrange(-3, 4), rng.randrange(-3, 4))),
     "(Z/5)^2": (DirectPower(Residues(5), 2), lambda rng: (rng.randrange(5), rng.randrange(5))),
+    "Z/101": (Residues(101), lambda rng: rng.randrange(101)),
+    "Z^3": (Lattice(3), lambda rng: tuple(rng.randrange(-2, 3) for _ in range(3))),
+    "Z x Z": (DirectPower(Integers(), 2), lambda rng: (rng.randrange(-4, 5), rng.randrange(-4, 5))),
+    "Sym(2)": (Permutations(2), lambda rng: rng.choice([(1, 2), (2, 1)])),
 }
 
 
@@ -119,6 +124,58 @@ def test_pruned_scan_matches_reference_scan(structure, draw, rng):
         w = find_plunnecke_subset_multi(a, bs)
         assert w.x_set.elements == tuple(x for j, x in enumerate(a.elements) if mask >> j & 1)
         assert w.achieved == cnt
+
+
+def test_scan_index_past_one_machine_word(rng):
+    """In Z/101, A = s + d{0..11} and T = s' + 12d{0..7} give 96 distinct
+    sums, so the bits of A + T run past 64. Every X has |X + T| = 8|X|: a
+    threshold just below that leaves no X valid, so the scan checks every
+    mask, and two colliding bits would show as a smaller count."""
+    zp = Residues(101)
+    for _ in range(6):
+        d, s, s2 = rng.randrange(1, 101), rng.randrange(101), rng.randrange(101)
+        a = FiniteSet(zp, tuple((s + d * j) % 101 for j in range(12)))
+        target = FiniteSet(zp, tuple((s2 + 12 * d * j) % 101 for j in range(8)))
+        assert len(brute_sumset(zp, [a, target])) == 96
+        below = lambda c, xs: c < 8 * xs
+        assert _first_valid_subset(zp, a, target, below) == _reference_scan(zp, a, target, below) == (None, None)
+        assert _first_valid_subset(zp, a, target, lambda c, xs: xs == 12) == ((1 << 12) - 1, 96)
+
+
+def test_residue_progressions_match_reference_scan(rng):
+    """Progressions in Z/p with B sets along the same difference, as in the
+    benchmark's growth scan: the first valid mask is near 2^|A| - 1, so the
+    index-built unions are checked on almost every mask."""
+    for p in (29, 31, 37, 41, 43):
+        zp = Residues(p)
+        for n in range(4, 12):
+            d, start = rng.randrange(1, p), rng.randrange(p)
+            a = FiniteSet(zp, tuple((start + d * j) % p for j in range(n)))
+            bs = [FiniteSet(zp, tuple((rng.randrange(-20, 20) + d * j) % p for j in range(size)))
+                  for size in (3, 2)]
+            s = len(sumset(zp, [a, bs[0]])) * len(sumset(zp, [a, bs[1]]))
+            valid = lambda c, xs: c * n**2 <= s * xs
+            total = FiniteSet(zp, tuple(brute_sumset(zp, bs)))
+            mask, cnt = _reference_scan(zp, a, total, valid)
+            assert _first_valid_subset(zp, a, total, valid) == (mask, cnt)
+            w = find_plunnecke_subset_multi(a, bs)
+            assert w.x_set.elements == tuple(x for j, x in enumerate(a.elements) if mask >> j & 1)
+            assert w.achieved == cnt
+
+
+def test_residue_progression_keeps_no_set_tables():
+    """In Z/43, A = {0..19} passes only as a whole (Cauchy-Davenport rules
+    out every smaller X), and its half tables hold ints, not sets."""
+    zp = Residues(43)
+    a = FiniteSet(zp, tuple(range(20)))
+    tracemalloc.start()
+    try:
+        multi = find_plunnecke_subset_multi(a, [FiniteSet(zp, (0, 1)), FiniteSet(zp, (0, 1, 2))])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert multi.x_set == a and multi.achieved == 23
+    assert peak < 256 * 1024
 
 
 @pytest.mark.parametrize("n", [6, 13, SUBSET_SEARCH_CAP])
