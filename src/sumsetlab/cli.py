@@ -2,7 +2,13 @@
 
 Commands: verify, witness, family, hunt, selftest. Exit codes: 0 when the
 run completed and every checked inequality holds, 2 for a finding (an
-inequality fails or a hunt records a violation), 1 for usage or input errors.
+inequality fails or a hunt records a violation), 1 for usage or input errors,
+argparse's usage errors included. `main` returns the exit code rather than
+raising SystemExit, also for usage errors and --help.
+
+The argument parser is built on the first `main` call and reused by every
+later call in the process; each parse returns a fresh namespace, so calls
+share no state.
 
 Instance files follow the JSON format of the sumsets module; verifier
 parameters (i, k, h, kmax) ride along as extra top-level integer keys.
@@ -15,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import sys
@@ -41,13 +48,7 @@ from .inequalities import (
     verify_superadditivity,
     verify_tensor_power,
 )
-from .sumsets import (
-    FiniteSet,
-    graph_triple_sumset,
-    instance_from_json,
-    restricted_pair_sumset,
-    sumset,
-)
+from .sumsets import FiniteSet, instance_from_json, sumset
 
 
 def _need_sets(sets, count, what):
@@ -228,19 +229,32 @@ def _cmd_verify(args, include_witness):
     return _emit(run(*instance_from_json(obj)), args.out, include_witness)
 
 
+def _exact_root(value, k):
+    """The integer r >= 0 with r**k == value, found by bisection."""
+    lo, hi = 0, 1 << -(-value.bit_length() // k)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid**k <= value:
+            lo = mid
+        else:
+            hi = mid - 1
+    if lo**k != value:
+        raise ValueError(f"{value} is not a perfect power of {k}")
+    return lo
+
+
 def _cmd_family(args):
     s = greedy_distinct_triple_sums(args.n, args.target_size)
-    a, graph, report = build_graph_counterexample(args.n, s)
-    pair = restricted_pair_sumset(Integers(), a, a, graph)
-    triple = graph_triple_sumset(a, graph)
+    _, _, report = build_graph_counterexample(args.n, s)
     if args.out == "csv":
         _print_reports_csv([report])
     else:
         obj = {
             "n": args.n,
             "s": s.to_json(),
-            "pair_sum_count": len(pair),
-            "triple_sum_count": len(triple),
+            # the report compares |triple sums|^2 with |pair sums|^3
+            "pair_sum_count": _exact_root(report.rhs.numerator, 3),
+            "triple_sum_count": _exact_root(report.lhs.numerator, 2),
             "report": report.to_json(),
         }
         print(json.dumps(obj, indent=2, sort_keys=True))
@@ -390,7 +404,9 @@ def _cmd_selftest(_args):
     return 1 if failures else 0
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="sumsetlab",
         description="Exact sumset inequality verification, witnesses, and hunts.",
@@ -405,47 +421,45 @@ def _build_parser():
 
     p_verify = sub.add_parser("verify", help="check one inequality on an instance")
     add_common(p_verify)
+    p_verify.set_defaults(run=functools.partial(_cmd_verify, include_witness=False))
 
     p_witness = sub.add_parser("witness", help="verify and print the witness")
     add_common(p_witness)
+    p_witness.set_defaults(run=functools.partial(_cmd_verify, include_witness=True))
 
     p_family = sub.add_parser("family", help="build a graph counterexample family")
     p_family.add_argument("--n", type=int, required=True)
     p_family.add_argument("--target-size", type=int, default=6)
     p_family.add_argument("--out", choices=["json", "csv"], default="json")
+    p_family.set_defaults(run=_cmd_family)
 
     p_hunt = sub.add_parser("hunt", help="run a counterexample hunt")
     p_hunt.add_argument("--instance", required=True, help="hunt config JSON file")
     p_hunt.add_argument("--seed", type=int)
     p_hunt.add_argument("--budget", type=int)
     p_hunt.add_argument("--log", help="JSONL log path")
+    p_hunt.set_defaults(run=_cmd_hunt)
 
-    sub.add_parser("selftest", help="run the built-in fixed-example checks")
+    p_selftest = sub.add_parser("selftest", help="run the built-in fixed-example checks")
+    p_selftest.set_defaults(run=_cmd_selftest)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.command == "verify":
-            return _cmd_verify(args, include_witness=False)
-        if args.command == "witness":
-            return _cmd_verify(args, include_witness=True)
-        if args.command == "family":
-            return _cmd_family(args)
-        if args.command == "hunt":
-            return _cmd_hunt(args)
-        if args.command == "selftest":
-            return _cmd_selftest(args)
-        parser.error(f"unknown command {args.command!r}")
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage or help text; its usage errors exit
+        # 2, which this CLI keeps for findings.
+        return 1 if exc.code else 0
+    try:
+        return args.run(args)
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}", file=sys.stderr)
         return 1
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 1
 
 
 if __name__ == "__main__":

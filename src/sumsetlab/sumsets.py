@@ -248,9 +248,12 @@ def graph_triple_sumset(a: FiniteSet, g: AdditionGraph) -> FiniteSet:
     compose = a.structure.compose
     out = set()
     for i in range(n):
-        for j in range(i, n):
-            if not adj[i] >> j & 1:
-                continue
+        # walk the neighbours j >= i of i, lowest first
+        row = adj[i] & (-1 << i)
+        while row:
+            low = row & -row
+            j = low.bit_length() - 1
+            row ^= low
             common = adj[i] & adj[j] & (-1 << j)
             while common:
                 low = common & -common

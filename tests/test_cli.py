@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, output formats, witness printing, hunts."""
 
+import argparse
 import csv
 import io
 import json
@@ -192,6 +193,70 @@ def test_missing_instance_file_is_usage_error(capsys):
     code = main(["verify", "--instance", "/nonexistent/x.json", "--inequality", "superadd"])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_per_process(triple_instance, monkeypatch, capsys):
+    main(["verify", "--instance", triple_instance, "--inequality", "superadd"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (
+        ["verify", "--instance", triple_instance, "--inequality", "submult"],
+        ["witness", "--instance", triple_instance, "--inequality", "superadd", "--out", "csv"],
+        ["family", "--n", "120", "--out", "csv"],
+    ):
+        main(argv)
+    assert built == []
+
+
+def test_calls_in_a_row_share_no_state(triple_instance, capsys):
+    verify = ["verify", "--instance", triple_instance, "--inequality", "superadd"]
+    assert main(verify + ["--out", "csv"]) == 0
+    assert capsys.readouterr().out.startswith("name,")
+    assert main(verify) == 0
+    assert json.loads(capsys.readouterr().out)["name"] == "superadd"
+
+    main(["family", "--n", "120", "--target-size", "4"])
+    assert len(json.loads(capsys.readouterr().out)["s"]) == 4
+    main(["family", "--n", "120"])
+    assert len(json.loads(capsys.readouterr().out)["s"]) == 6
+
+    assert main(["verify", "--inequality", "superadd"]) == 1
+    assert capsys.readouterr().out == ""
+    assert main(verify) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["lhs"] == [14, 1] and captured.err == ""
+
+
+# argparse prints its usage block and one error line; the exit code is the
+# usage-error code 1, not argparse's 2, which this CLI keeps for findings.
+USAGE_ERRORS = [
+    (["verify", "--inequality", "superadd"],
+     "sumsetlab verify: error: the following arguments are required: --instance"),
+    (["bogus"],
+     "sumsetlab: error: argument command: invalid choice: 'bogus' "
+     "(choose from 'verify', 'witness', 'family', 'hunt', 'selftest')"),
+    (["family", "--n", "x"], "sumsetlab family: error: argument --n: invalid int value: 'x'"),
+]
+
+
+@pytest.mark.parametrize("argv, last_line", USAGE_ERRORS, ids=[" ".join(c[0]) for c in USAGE_ERRORS])
+def test_usage_error_exits_1(argv, last_line, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: sumsetlab")
+    assert captured.err.endswith("\n" + last_line + "\n")
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: sumsetlab")
 
 
 def test_selftest_passes(capsys):

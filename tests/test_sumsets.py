@@ -295,6 +295,46 @@ def test_graph_triple_matches_bruteforce(rng):
         assert graph_triple_sumset(a, g) == FiniteSet(z, tuple(expected))
 
 
+def direct_triple_sums(a, g):
+    """Fold x_i x_j x_k over every i <= j <= k whose three pairs are edges."""
+    compose = a.structure.compose
+    xs = a.elements
+    return {
+        compose(compose(xs[i], xs[j]), xs[k])
+        for i, j, k in itertools.combinations_with_replacement(range(len(xs)), 3)
+        if {(i, j), (i, k), (j, k)} <= g.edges
+    }
+
+
+def random_symmetric_graph(rng, n, density, loops):
+    edges = {
+        (i, j)
+        for i in range(n)
+        for j in range(i if loops else i + 1, n)
+        if rng.random() < density
+    }
+    return AdditionGraph(n, n, frozenset(edges), symmetric=True, loops_allowed=loops)
+
+
+@pytest.mark.parametrize("loops", [True, False], ids=["loops", "no-loops"])
+@pytest.mark.parametrize("density", [0.1, 0.7], ids=["sparse", "dense"])
+@pytest.mark.parametrize(
+    "structure", [Integers(), Residues(7), Permutations(3)], ids=["Z", "Zmod7", "Sym3"]
+)
+def test_graph_triple_matches_direct_enumeration(structure, density, loops, rng):
+    if isinstance(structure, Integers):
+        # 80 indices: adjacency rows span more than one 64-bit word
+        pools = [range(-40, 41)] * 12 + [range(200)]
+        sizes = [rng.randrange(1, 13) for _ in range(12)] + [80]
+    else:
+        pools = [list(structure.elements())] * 12
+        sizes = [rng.randrange(1, len(pools[0]) + 1) for _ in range(12)]
+    for pool, n in zip(pools, sizes):
+        a = FiniteSet(structure, tuple(rng.sample(list(pool), n)))
+        g = random_symmetric_graph(rng, n, density, loops)
+        assert set(graph_triple_sumset(a, g).elements) == direct_triple_sums(a, g)
+
+
 def test_addition_graph_validation():
     with pytest.raises(ValueError, match="out of range"):
         AdditionGraph(2, 2, frozenset({(0, 2)}))
