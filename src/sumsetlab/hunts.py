@@ -14,11 +14,12 @@ through its exit status.
 Determinism contract: given the same config (seed included), two runs produce
 byte-identical logs. One instance stream, _instances, serves both questions
 and both modes: it enumerates or draws the sets in a fixed order, and its
-randomness goes exclusively through randrange-based subset unranking. A
-checkpoint records the config that fixes the stream, and a resume under any
-other config is refused, so a resumed log is always one a single run would
-write. replay re-evaluates a logged instance and names the field of a
-malformed one.
+randomness goes exclusively through randrange-based subset unranking: a draw
+makes one randrange call and unranks its result by bisecting Pascal columns,
+one bisection per element. A checkpoint records the config that fixes the
+stream, and a resume under any other config is refused, so a resumed log is
+always one a single run would write. replay re-evaluates a logged instance
+and names the field of a malformed one.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import itertools
 import json
 import os
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .algebra import (
@@ -38,6 +40,9 @@ from .algebra import (
     structure_to_json,
 )
 from .sumsets import FiniteSet, _require_nonempty, _set_from_json, sumset
+
+
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def _is_int(v) -> bool:
@@ -163,7 +168,7 @@ class HuntRecord:
         }
 
     def json_line(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+        return _RECORD_ENCODER.encode(self.to_json())
 
 
 def eval_question1(structure: AmbientStructure, sets: list[FiniteSet], instance_index: int = 0) -> HuntRecord:
@@ -199,7 +204,7 @@ def eval_question2(a: FiniteSet, bs: list[FiniteSet], s: FiniteSet, instance_ind
         raise ValueError("Question 2 runs over the integers")
     _require_nonempty([a, s, *bs])
     total = sumset(structure, list(bs))
-    if not set(s) <= set(total):
+    if not set(total.elements).issuperset(s.elements):
         raise ValueError("S must be a subset of B1+...+Bk")
     lhs = len(sumset(structure, [s, a])) ** k
     rhs = len(s)
@@ -270,45 +275,51 @@ def _subsets_in_canonical_order(carrier: list, cap: int, limit: int):
 
 
 @functools.cache
-def _pascal(cap: int) -> list:
-    """Pascal's triangle cut to columns 0..cap; _binomials adds the rows."""
-    return [(1,) + (0,) * cap]
+def _pascal_columns(cap: int) -> list:
+    """Pascal's triangle cut to columns 0..cap; _columns lengthens them."""
+    return [[1]] + [[0] for _ in range(cap)]
 
 
-def _binomials(n: int, cap: int) -> list:
-    """rows with rows[m][j] = C(m, j) for all m <= n and j <= cap; one table
+def _columns(n: int, cap: int) -> list:
+    """cols with cols[m][j] = C(j, m) for all m <= cap and j <= n; one table
     per cap serves every carrier size."""
-    rows = _pascal(cap)
-    while len(rows) <= n:
-        prev = rows[-1]
-        rows.append((1,) + tuple(prev[j - 1] + prev[j] for j in range(1, cap + 1)))
-    return rows
+    cols = _pascal_columns(cap)
+    for j in range(len(cols[0]), n + 1):
+        cols[0].append(1)
+        for m in range(1, cap + 1):
+            cols[m].append(cols[m][j - 1] + cols[m - 1][j - 1])
+    return cols
 
 
-def _unrank_combination(n: int, s: int, r: int, rows: list) -> list:
-    """The r-th s-element subset of range(n) in lexicographic order; rows is
-    _binomials(n, cap) for some cap >= s."""
+def _unrank_combination(n: int, s: int, r: int, cols: list) -> list:
+    """The r-th s-element subset of range(n) in lexicographic order; cols is
+    _columns(n, cap) for some cap >= s.
+
+    With x0 the next free element and m elements still to pick, C(n-x0, m) -
+    C(n-x, m) of the remaining subsets start below x (hockey stick), so the
+    next element is n - j for the least j with C(j, m) >= C(n-x0, m) - r: one
+    bisection of column m."""
     out = []
-    x = 0
-    for pos in range(s):
-        while True:
-            rest = rows[n - x - 1][s - pos - 1]
-            if r < rest:
-                out.append(x)
-                x += 1
-                break
-            r -= rest
-            x += 1
+    j = n
+    for m in range(s, 0, -1):
+        col = cols[m]
+        t = col[j] - r
+        j = bisect_left(col, t, 0, j)
+        r = col[j] - t
+        out.append(n - j)
+        j -= 1
     return out
 
 
 def _draw_subset(rng: random.Random, carrier: list, cap: int) -> list:
     """A uniform draw among the nonempty subsets of the carrier with at most
-    cap elements. Uses only randrange, for cross-version stability."""
+    cap elements. Uses only randrange, for cross-version stability: one call
+    picks the rank among all sizes, and _unrank_combination bisects Pascal
+    columns to turn it into a subset."""
     n = len(carrier)
     cap = min(cap, n)
-    rows = _binomials(n, cap)
-    counts = rows[n][1:]
+    cols = _columns(n, cap)
+    counts = [col[n] for col in cols[1:]]
     r = rng.randrange(sum(counts))
     size = 1
     for c in counts:
@@ -316,7 +327,7 @@ def _draw_subset(rng: random.Random, carrier: list, cap: int) -> list:
             break
         r -= c
         size += 1
-    return [carrier[i] for i in _unrank_combination(n, size, r, rows)]
+    return [carrier[i] for i in _unrank_combination(n, size, r, cols)]
 
 
 def _instances(config: HuntConfig):
@@ -345,7 +356,7 @@ def _instances(config: HuntConfig):
                 yield structure, sets
                 continue
             a, *bs = sets
-            total = list(sumset(structure, bs))
+            total = sumset(structure, bs).elements
             if exhaustive:
                 s_subsets = _subsets_in_canonical_order(total, cap_s, budget)
             else:

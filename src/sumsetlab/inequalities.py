@@ -190,7 +190,10 @@ def endpoint_sets(sets: list[FiniteSet]) -> list[FiniteSet]:
                 "endpoint sets are defined for integer sets; reduce other "
                 "structures with torsion_free_reduce first"
             )
-    return [FiniteSet(s.structure, (s.min(), s.max())) for s in sets]
+    return [
+        FiniteSet._unchecked(s.structure, (s.min(), s.max()) if len(s) > 1 else (s.min(),))
+        for s in sets
+    ]
 
 
 def verify_superadditivity(sets: list[FiniteSet]):
@@ -807,7 +810,7 @@ def build_graph_counterexample(n: int, s: FiniteSet):
         raise ValueError("S must have pairwise distinct 3-subset sums")
 
     zint = Integers()
-    a = FiniteSet(zint, tuple(range(1, n + 1)))
+    a = FiniteSet._unchecked(zint, tuple(range(1, n + 1)))
     edges = set()
     for v in values:
         lo = max(1, v - n)
@@ -852,7 +855,7 @@ def greedy_distinct_triple_sums(n: int, target_size: int) -> FiniteSet:
         if len(set(pairs)) == len(pairs) and len(set(triples)) == len(triples):
             chosen = trial
             if len(chosen) == target_size:
-                return FiniteSet(Integers(), tuple(chosen))
+                return FiniteSet._unchecked(Integers(), tuple(chosen))
     raise ValueError(
         f"no qualifying set of size {target_size} found inside (2n/3, 4n/3) for n={n}"
     )

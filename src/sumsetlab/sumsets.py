@@ -4,7 +4,9 @@ Sumsets fold left to right through a hash/set fold. An integer sumset folds
 all summands into one offset and bitmask by shift-or, decoded once, while its
 sums are dense: the total spread sum(max - min) is at most the product of the
 set sizes, and before each later summand at most the partial sum's size times
-the sizes still to come. The engine choice is internal; results are identical
+the sizes still to come. The decode runs in C: the bit string, reversed and
+translated to 0/1 bytes, selects the sums from a range with
+itertools.compress. The engine choice is internal; results are identical
 element for element.
 
 Restricted sums are driven by an AdditionGraph, an index-level edge relation
@@ -15,10 +17,10 @@ JSON instance format.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 from .algebra import (
+    _JSON_INT_LIMIT,
     AmbientStructure,
     DirectPower,
     Integers,
@@ -68,7 +70,13 @@ class FiniteSet:
         return self.elements[-1]
 
     def to_json(self):
-        return [self.structure.element_to_json(x) for x in self.elements]
+        xs = self.elements
+        # Integers inside +-2^53 encode as themselves, so the sorted ends decide.
+        if isinstance(self.structure, Integers) and (
+            not xs or -_JSON_INT_LIMIT < xs[0] and xs[-1] < _JSON_INT_LIMIT
+        ):
+            return list(xs)
+        return [self.structure.element_to_json(x) for x in xs]
 
     @classmethod
     def from_json(cls, structure, values):
@@ -146,14 +154,14 @@ class AdditionGraph:
 
 def _require_same_structure(structure, sets):
     for s in sets:
-        if s.structure != structure:
+        if s.structure is not structure and s.structure != structure:
             raise StructureMismatchError(
                 f"set over {s.structure} used with {structure}"
             )
 
 
 def _require_nonempty(sets):
-    if not sets or any(len(s) == 0 for s in sets):
+    if not sets or not all([s.elements for s in sets]):
         raise ValueError("nonempty sets required")
 
 
@@ -164,24 +172,37 @@ def _pair_sumset_generic(structure, xs, ys) -> set:
     return {compose(x, y) for x in xs for y in ys}
 
 
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
 def _integer_fold(sets) -> tuple | None:
     """Integer sumset by one shift-or fold into an offset and bitmask, decoded
     once; None, leaving it to the hash fold, as soon as the sums prove sparse
-    by the module docstring's test (progressions with a large difference do)."""
-    spread = sum(s.max() - s.min() for s in sets)
-    remaining = math.prod(map(len, sets))
+    by the module docstring's test (progressions with a large difference do).
+
+    The decode maps bit i to the flag byte i and lets compress pick the sums
+    from range(offset, offset + bit_length). The list is built before the
+    tuple: a tuple made straight from the iterator, whose length is unknown,
+    grows by resizing and fragments the heap."""
+    spread, remaining = 0, 1
+    for s in sets:
+        xs = s.elements
+        spread += xs[-1] - xs[0]
+        remaining *= len(xs)
     offset, bits = 0, 1
     for s in sets:
         if spread > bits.bit_count() * remaining:
             return None
-        remaining //= len(s)
-        lo = s.elements[0]
+        xs = s.elements
+        remaining //= len(xs)
+        lo = xs[0]
         offset += lo
         acc = 0
-        for x in s.elements:
+        for x in xs:
             acc |= bits << (x - lo)
         bits = acc
-    return tuple([i for i, bit in enumerate(bin(bits)[:1:-1], offset) if bit == "1"])
+    flags = bin(bits)[:1:-1].encode().translate(_BIT_FLAGS)
+    return tuple(list(itertools.compress(range(offset, offset + len(flags)), flags)))
 
 
 def sumset(structure: AmbientStructure, sets: list[FiniteSet]) -> FiniteSet:
@@ -196,7 +217,7 @@ def sumset(structure: AmbientStructure, sets: list[FiniteSet]) -> FiniteSet:
         elements = _integer_fold(sets)
         if elements is not None:
             return FiniteSet._unchecked(structure, elements)
-    acc = set(sets[0])
+    acc = set(sets[0].elements)
     for nxt in sets[1:]:
         acc = _pair_sumset_generic(structure, acc, nxt.elements)
     return FiniteSet._unchecked(structure, tuple(sorted(acc)))

@@ -47,6 +47,15 @@ def test_binary_spaced_family_fails_spectacularly():
     assert not report.holds and report.slack < 0
 
 
+def test_builders_return_canonical_sets():
+    z = Integers()
+    for n, size in ((18, 3), (120, 6), (300, 7)):
+        s = greedy_distinct_triple_sums(n, size)
+        assert s == FiniteSet(z, tuple(reversed(s.elements))) and len(s) == size
+        a, _, _ = build_graph_counterexample(n, s)
+        assert a == FiniteSet(z, tuple(range(n, 0, -1)))
+
+
 def test_family_counts_match_bruteforce_oracle():
     for n, values in ((120, (82, 84, 88, 96, 112, 144)), (30, (22, 24, 28)), (18, (14, 16, 20))):
         a, graph, report = build_graph_counterexample(n, int_set(*values))

@@ -1,6 +1,7 @@
 """Sumset engines, graph-restricted sums, direct powers, instance JSON."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -185,6 +186,44 @@ def test_integer_engines_match_bruteforce(rng, monkeypatch):
     # Progressions with a common difference: dense by the product of the
     # sizes, but the partial sums collide, so the fold hands over to the hash fold.
     assert not took_bitmask([FiniteSet(z, tuple(range(-40, 60, 20)))] * 4)
+
+
+def _spanning_set(rng, lo, span, size):
+    """`size` integers from lo to lo + span, both ends included."""
+    return FiniteSet(Integers(), (lo, lo + span, *rng.sample(range(lo + 1, lo + span), size - 2)))
+
+
+# Per summand count k, the summand size that keeps a sum spanning the given
+# number of bits on the bitmask fold.
+DENSE_SIZES = {1: {600: 600, 5000: 5000}, 2: {600: 30, 5000: 80}, 3: {600: 10, 5000: 25}, 4: {600: 6, 5000: 12}}
+
+
+@pytest.mark.parametrize("offset", [0, -1, -4097, 2**63 - 2, 2**63 + 7, -(2**63) - 3, -(2**70)])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_bitmask_decode_matches_bruteforce(offset, k):
+    """The decode gives every sum of a dense fold whose span passes 512 and
+    4,096 bits, at offsets past one machine word and below zero."""
+    z = Integers()
+    rng = random.Random(offset * 10 + k)
+    for total_span, size in DENSE_SIZES[k].items():
+        span = total_span // k
+        sets = [_spanning_set(rng, rng.randrange(-30, 30), span, min(size, span + 1)) for _ in range(k - 1)]
+        sets.insert(0, _spanning_set(rng, offset, span, min(size, span + 1)))
+        folded = sumsets._integer_fold(sets)
+        assert folded is not None  # the bitmask fold, not the hash fold
+        assert folded[-1] - folded[0] >= total_span - k
+        assert folded == tuple(sorted(brute_sumset(z, sets)))
+        assert sumset(z, sets).elements == folded
+
+
+@pytest.mark.parametrize("offset", [0, -5, 2**64 + 1, -(2**63) - 1])
+def test_bitmask_decode_of_singletons(offset):
+    z = Integers()
+    for k in range(1, 5):
+        singles = [int_set(offset + 3 * j) for j in range(k)]
+        assert sumsets._integer_fold(singles) == (k * offset + 3 * k * (k - 1) // 2,)
+        mixed = [*singles[:-1], int_set(-2, -1, 1)]
+        assert sumsets._integer_fold(mixed) == tuple(sorted(brute_sumset(z, mixed))) == sumset(z, mixed).elements
 
 
 def test_integer_cardinality_bounds_on_1000_instances(rng):
@@ -380,3 +419,45 @@ def test_instance_json_roundtrip_with_one_based_graph():
     assert [s.elements for s in sets2] == [(1, 2), (1, 2)]
     assert g2 == g
     assert extras == {"k": 3}
+
+
+J = 2**53
+
+
+@pytest.mark.parametrize(
+    "elements",
+    [
+        (),
+        (7,),
+        (-(J - 1), 0, J - 1),
+        (-J, 0, 5),
+        (0, 5, J),
+        (-J - 1, -3, 1, J + 1),
+        (-(2**70), 2**70),
+        (-J,),
+        (J,),
+    ],
+)
+def test_integer_to_json_matches_element_encoding(elements):
+    """Integer sets encode as plain lists only while every element is a JSON
+    int; |x| >= 2^53 turns the whole set over to per-element encoding."""
+    z = Integers()
+    s = FiniteSet(z, elements)
+    expected = [z.element_to_json(x) for x in s.elements]
+    assert json.dumps(s.to_json()) == json.dumps(expected)
+    assert [type(v) for v in s.to_json()] == [type(v) for v in expected]
+
+
+def test_integer_to_json_at_the_2_53_edge():
+    z = Integers()
+    assert FiniteSet(z, (-(J - 1), J - 1)).to_json() == [-(J - 1), J - 1]
+    assert FiniteSet(z, (-J, J)).to_json() == [str(-J), str(J)]
+    assert FiniteSet(z, (-J, 1, 2)).to_json() == [str(-J), 1, 2]  # only the first element is out
+    assert FiniteSet(z, (1, 2, J)).to_json() == [1, 2, str(J)]  # only the last element is out
+
+
+def test_direct_power_to_json_keeps_element_encoding():
+    power = DirectPower(Integers(), 2)
+    s = FiniteSet(power, ((-J, 0), (1, 2), (3, J + 5)))
+    assert s.to_json() == [[str(-J), 0], [1, 2], [3, str(J + 5)]]
+    assert json.dumps(s.to_json()) == json.dumps([power.element_to_json(x) for x in s.elements])

@@ -30,6 +30,15 @@ def test_endpoint_sets_examples():
         endpoint_sets([FiniteSet(Residues(5), (0, 1))])
 
 
+def test_endpoint_sets_match_the_validated_sets(rng):
+    z = Integers()
+    sets = [int_set(-(2**64)), int_set(3, 3), int_set(-5, 0, 9)]
+    sets += [random_int_set(rng, max_size=4, lo=-20, hi=20) for _ in range(200)]
+    for s, ends in zip(sets, endpoint_sets(sets)):
+        assert ends == FiniteSet(z, (s.min(), s.max()))
+        assert len(ends) == (2 if len(s) > 1 else 1)
+
+
 def test_triple_example_report_and_witness():
     sets = [int_set(0, 2), int_set(0, 1), int_set(0, 3)]
     report, witness = verify_superadditivity(sets)
