@@ -13,19 +13,19 @@ through its exit status.
 
 Determinism contract: given the same config (seed included), two runs produce
 byte-identical logs. One instance stream, _instances, serves both questions
-and both modes: it enumerates or draws the sets in a fixed order, and its
-randomness goes exclusively through randrange-based subset unranking: a draw
-makes one randrange call and unranks its result by bisecting Pascal columns,
-one bisection per element. A checkpoint records the config that fixes the
-stream, and a resume under any other config is refused, so a resumed log is
-always one a single run would write. replay re-evaluates a logged instance
-and names the field of a malformed one.
+and both modes: exhaustive mode lists the subsets under each cap by ascending
+bitmask, and random mode draws them through randrange-based subset unranking
+only: a draw makes one randrange call and unranks its result by bisecting
+Pascal columns, one bisection per element. A checkpoint records the config
+that fixes the stream, and a resume under any other config is refused, so a
+resumed log is always one a single run would write. replay re-evaluates a
+logged instance and names the field of a malformed one.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
-import heapq
 import itertools
 import json
 import os
@@ -39,7 +39,7 @@ from .algebra import (
     structure_from_json,
     structure_to_json,
 )
-from .sumsets import FiniteSet, _require_nonempty, _set_from_json, sumset
+from .sumsets import MAX_SUMMANDS, FiniteSet, _require_nonempty, _set_from_json, sumset
 
 
 _RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -56,7 +56,8 @@ class HuntConfig:
     size_caps gives the per-set cardinality cap: k entries for Q1; for Q2 the
     caps broadcast over (A, B_1..B_k, S), k + 2 entries. A single int
     broadcasts to all positions. value_range bounds the integer carrier
-    [0, value_range] for Q2.
+    [0, value_range] for Q2; it is at most 10^5, because the draw tables grow
+    with the carrier, and k is at most MAX_SUMMANDS.
     """
 
     question: str
@@ -82,8 +83,8 @@ class HuntConfig:
             raise ValueError("question must be Q1 or Q2")
         if self.mode not in ("exhaustive", "random"):
             raise ValueError("mode must be exhaustive or random")
-        if self.k < 3:
-            raise ValueError("hunts need k >= 3 (smaller cases are settled)")
+        if not 3 <= self.k <= MAX_SUMMANDS:
+            raise ValueError(f"hunts need k >= 3 (smaller cases are settled) and k <= {MAX_SUMMANDS}")
         if self.instance_budget < 0:
             raise ValueError("instance budget must be >= 0")
         n_positions = self.k if self.question == "Q1" else self.k + 2
@@ -107,43 +108,29 @@ class HuntConfig:
         else:
             if not isinstance(self.structure, Integers):
                 raise ValueError("Question 2 runs over the integers")
-            if self.value_range is None or self.value_range < 0:
-                raise ValueError("Question 2 needs a nonnegative value_range")
+            if self.value_range is None or not 0 <= self.value_range <= 10**5:
+                raise ValueError(f"Question 2 needs a value_range in 0..{10**5}")
 
     def to_json(self):
-        return {
-            "question": self.question,
-            "structure": structure_to_json(self.structure),
-            "k": self.k,
-            "size_caps": list(self.size_caps),
-            "mode": self.mode,
-            "seed": self.seed,
-            "instance_budget": self.instance_budget,
-            "value_range": self.value_range,
-            "log_path": self.log_path,
-            "checkpoint_path": self.checkpoint_path,
-        }
+        obj = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        obj["structure"] = structure_to_json(self.structure)
+        obj["size_caps"] = list(self.size_caps)
+        return obj
 
     @classmethod
     def from_json(cls, obj):
-        """Parse a hunt config; a malformed one raises ValueError naming the field."""
+        """Parse a hunt config; a malformed one raises ValueError naming the
+        field. Keys that name no field are ignored."""
         if not isinstance(obj, dict):
             raise ValueError("hunt config: expected a JSON object")
-        for key in ("question", "structure", "k"):
-            if key not in obj:
-                raise ValueError(f"hunt config is missing required field {key!r}")
-        return cls(
-            question=obj["question"],
-            structure=structure_from_json(obj["structure"]),
-            k=obj["k"],
-            size_caps=obj.get("size_caps", 3),
-            mode=obj.get("mode", "random"),
-            seed=obj.get("seed", 0),
-            instance_budget=obj.get("instance_budget", 0),
-            value_range=obj.get("value_range"),
-            log_path=obj.get("log_path"),
-            checkpoint_path=obj.get("checkpoint_path"),
-        )
+        args = {}
+        for f in dataclasses.fields(cls):
+            if f.name in obj:
+                args[f.name] = obj[f.name]
+            elif f.default is dataclasses.MISSING:
+                raise ValueError(f"hunt config is missing required field {f.name!r}")
+        args["structure"] = structure_from_json(args["structure"])
+        return cls(**args)
 
 
 @dataclass(frozen=True)
@@ -248,30 +235,19 @@ def replay(instance: dict, instance_index: int = 0) -> HuntRecord:
 # --- Instance generation -------------------------------------------------------
 
 
-def _masks_by_value(n: int, cap: int):
-    """All nonzero n-bit masks with popcount <= cap, in ascending value."""
-
-    def same_popcount(s):
-        v = (1 << s) - 1
-        top = 1 << n
-        while v < top:
-            yield v
-            c = v & -v
-            r = v + c
-            v = (((r ^ v) >> 2) // c) | r
-
-    return heapq.merge(*(same_popcount(s) for s in range(1, min(cap, n) + 1)))
-
-
 def _subsets_in_canonical_order(carrier: list, cap: int, limit: int):
-    """Up to `limit` subsets of the carrier, by ascending bitmask over the
-    canonical element order, made one at a time as they are read."""
-    n = len(carrier)
-    subsets = (
-        [carrier[j] for j in range(n) if mask >> j & 1]
-        for mask in _masks_by_value(n, cap)
-    )
-    return itertools.islice(subsets, limit)
+    """Up to `limit` nonempty subsets of the carrier with at most cap
+    elements, by ascending bitmask over the canonical element order, made one
+    at a time as they are read. A mask past the cap steps by its lowest set
+    bit: every mask it skips keeps the same high bits and adds more."""
+    n, mask = len(carrier), 1
+    for _ in range(limit):
+        if mask >> n:
+            return
+        yield [carrier[j] for j in range(n) if mask >> j & 1]
+        mask += 1
+        while mask.bit_count() > cap:
+            mask += mask & -mask
 
 
 @functools.cache
@@ -463,9 +439,7 @@ def run_hunt(config: HuntConfig) -> HuntSummary:
     summary = HuntSummary(config)
     log = open(config.log_path, "a" if start_index else "w") if config.log_path else None
     try:
-        for index, inst in enumerate(_instances(config)):
-            if index < start_index:
-                continue
+        for index, inst in enumerate(itertools.islice(_instances(config), start_index, None), start_index):
             record = evaluate(*inst, instance_index=index)
             if log is not None:
                 log.write(record.json_line() + "\n")

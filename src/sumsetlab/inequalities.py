@@ -43,6 +43,7 @@ from .algebra import (
     _encode_int,
 )
 from .sumsets import (
+    MAX_SUMMANDS,
     AdditionGraph,
     FiniteSet,
     _require_nonempty,
@@ -538,15 +539,16 @@ def _first_valid_subset(structure, a: FiniteSet, target: FiniteSet, valid):
     only masks with at least p0 bits. Each union of translates is
     lo[low half of mask] | hi[high half], from two tables of 2^(n/2) entries,
     and |X + T| is its popcount. A translate x + T is an int bitmask: T's
-    bitmask shifted by x - min(A) in Z; elsewhere one bit per element of
-    A + T, numbered in the order the elements first appear.
+    bitmask shifted by x - min(A) in Z while span(A) + span(T) <= 64 |A| |T|;
+    otherwise one bit per element of A + T, numbered in the order the
+    elements first appear, so a wide span costs no more memory than the sums.
     """
     n = len(a)
     if n > SUBSET_SEARCH_CAP:
         raise ValueError("exhaustive search cap exceeded")
     xs, ts = a.elements, target.elements
     t = len(ts)
-    if isinstance(structure, Integers):
+    if isinstance(structure, Integers) and xs[-1] - xs[0] + ts[-1] - ts[0] <= 64 * n * t:
         tlo = ts[0]
         tbits = 0
         for x in ts:
@@ -561,7 +563,7 @@ def _first_valid_subset(structure, a: FiniteSet, target: FiniteSet, valid):
             for y in ts:
                 u |= 1 << index.setdefault(compose(x, y), len(index))
             translates.append(u)
-        growth = t - 1 if isinstance(structure, Lattice) or (
+        growth = t - 1 if isinstance(structure, (Integers, Lattice)) or (
             isinstance(structure, Residues) and _is_prime(structure.modulus)
         ) else 0
         cap = structure.size or n + t
@@ -743,8 +745,8 @@ def verify_lev_monotonicity(a: FiniteSet, kmax: int) -> list[InequalityReport]:
     |kA|^i <= |iA|^k (so |kA|^(1/k) is nonincreasing).
     """
     _require_nonempty([a])
-    if kmax < 2:
-        raise ValueError("kmax must be at least 2")
+    if not 2 <= kmax <= MAX_SUMMANDS:
+        raise ValueError(f"kmax must be in 2..{MAX_SUMMANDS}")
     structure = a.structure
     if not isinstance(structure, Integers):
         raise ValueError("expected integer sets")

@@ -30,6 +30,12 @@ from .algebra import (
     structure_to_json,
 )
 
+# The most summands one parameter may ask for: iterated_sum's k (so
+# plunnecke's i and k), lev's kmax and a hunt's k. A larger value is refused
+# with a ValueError rather than folded for as long as it asks.
+MAX_SUMMANDS = 64
+
+
 @dataclass(frozen=True)
 class FiniteSet:
     """A deduplicated, canonically ordered finite set of elements.
@@ -236,6 +242,8 @@ def iterated_sum(structure: AmbientStructure, a: FiniteSet, k: int) -> FiniteSet
     """The k-fold sum A + A + ... + A; 1A = A."""
     if k < 1:
         raise ValueError("k must be positive")
+    if k > MAX_SUMMANDS:
+        raise ValueError(f"k must be at most {MAX_SUMMANDS}")
     return sumset(structure, [a] * k)
 
 

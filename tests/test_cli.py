@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, output formats, witness printing, hunts."""
 
 import argparse
+import copy
 import csv
 import io
 import json
@@ -377,6 +378,11 @@ MALFORMED = [
      "graph: edge [0, 1] out of range"),
     ("verify", "graphsum", {"structure": "Z", "sets": [[1, 2]], "graph": {"edges": [[1, 1]], "loops": False}},
      "graph: edge [1, 1] is a loop but loops are disallowed"),
+    # parameters past their caps, refused before any work
+    ("verify", "plunnecke", {"structure": "Z", "sets": [[0, 1], [0, 1]], "i": 1, "k": 2**70}, "k must be at most 64"),
+    ("verify", "lev", {"structure": "Z", "sets": [[0, 1]], "kmax": 2**70}, "kmax must be in 2..64"),
+    ("hunt", None, dict(HUNT_Q2, k=2**70), "k <= 64"),
+    ("hunt", None, dict(HUNT_Q2, value_range=2**70), "value_range in 0..100000"),
 ]
 
 
@@ -394,3 +400,51 @@ def test_malformed_input_is_one_error_line(command, name, obj, field, tmp_path, 
     assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
     assert field in lines[0]
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+HUGE = 2**70
+# One instance per verifier and one config per hunt question. A hunt runs
+# with --budget 3: a large budget asks for a long run, which is not an error.
+SWEEP_CASES = [(["verify", "--inequality", name], obj) for name, obj, _ in DIGEST_CASES] + [
+    (["verify", "--inequality", "q1"], {"structure": {"Sym": 3}, "sets": [[[1, 2, 3]], [[2, 1, 3]], [[1, 3, 2]]]}),
+    (["verify", "--inequality", "q2"], {"structure": "Z", "sets": [[0, 1], [0, 1], [0, 1], [0, 1], [0, 3]]}),
+    (["hunt", "--budget", "3"], {"question": "Q1", "structure": {"Sym": 3}, "k": 3, "size_caps": 2,
+                                 "mode": "exhaustive", "instance_budget": 5}),
+    (["hunt", "--budget", "3"], {"question": "Q2", "structure": "Z", "k": 3, "size_caps": [2, 1, 2, 2, 3],
+                                 "value_range": 6, "seed": 1, "instance_budget": 5}),
+]
+
+
+def _mutants(node):
+    """Every copy of a JSON value with one mutation at one path: the value at
+    that path replaced by +-2^70, 2^70 as a decimal string or a value of
+    another type, wrapped in an array, or (below the root) deleted."""
+    yield from (HUGE, -HUGE, str(HUGE), "x", None, True, 1.5, {}, [node])
+    keys = list(node) if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+    for key in keys:
+        rest = copy.copy(node)
+        del rest[key]
+        yield rest
+        for child in _mutants(node[key]):
+            mutant = copy.copy(node)
+            mutant[key] = child
+            yield mutant
+
+
+@pytest.mark.parametrize("argv, obj", SWEEP_CASES, ids=[" ".join(c[0][:3]) for c in SWEEP_CASES])
+def test_mutated_inputs_exit_cleanly(argv, obj, tmp_path, capsys):
+    """No mutant of a valid input lets an exception out of main; each gives a
+    result, a finding, or one error line."""
+    path = tmp_path / "mutant.json"
+    for mutant in _mutants(obj):
+        path.write_text(json.dumps(mutant))
+        try:
+            code = main(argv + ["--instance", str(path)])
+        except Exception as exc:  # noqa: BLE001 - name the mutant that escaped
+            pytest.fail(f"{type(exc).__name__}: {exc} escaped main on {json.dumps(mutant)}")
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), mutant
+        if code == 1:
+            assert len(err.splitlines()) == 1 and err.startswith("error:"), (mutant, err)
+        else:
+            assert err == "", (mutant, err)

@@ -148,6 +148,12 @@ def test_config_validation():
         HuntConfig(question="Q2", structure=Integers(), k=3)
     with pytest.raises(ValueError, match="over the integers"):
         HuntConfig(question="Q2", structure=Permutations(3), k=3, value_range=10)
+    with pytest.raises(ValueError, match="k <= 64"):
+        HuntConfig(question="Q1", structure=Permutations(3), k=65)
+    for value_range in (-1, 10**5 + 1):
+        with pytest.raises(ValueError, match="value_range in 0..100000"):
+            HuntConfig(question="Q2", structure=Integers(), k=3, value_range=value_range)
+    assert HuntConfig(question="Q2", structure=Integers(), k=64, value_range=10**5).k == 64
     config = HuntConfig(question="Q1", structure=Permutations(3), k=3, size_caps=2)
     assert config.size_caps == (2, 2, 2)
     config2 = HuntConfig(question="Q2", structure=Integers(), k=3, size_caps=4, value_range=10)
@@ -270,6 +276,44 @@ def test_exhaustive_subsets_are_made_as_read():
     assert first == [0]
     # all 102,090 subsets of at most 4 of the 40 elements would take megabytes
     assert peak < 256 * 1024
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_exhaustive_subsets_match_the_plain_mask_filter(n):
+    carrier = [10 * j for j in range(n)]
+    for cap in range(1, n + 2):
+        masks = [m for m in range(1, 1 << n) if m.bit_count() <= cap]
+        expected = [[carrier[j] for j in range(n) if m >> j & 1] for m in masks]
+        for limit in (0, 1, 7, len(masks) + 1):
+            assert list(hunts._subsets_in_canonical_order(carrier, cap, limit)) == expected[:limit]
+
+
+CONFIG_JSON = [
+    (dict(question="Q1", structure=Permutations(3), k=4, size_caps=[1, 2, 3, 2], mode="exhaustive",
+          seed=5, instance_budget=300, checkpoint_path="q1.ckpt"),
+     '{"question": "Q1", "structure": {"Sym": 3}, "k": 4, "size_caps": [1, 2, 3, 2], "mode": "exhaustive", '
+     '"seed": 5, "instance_budget": 300, "value_range": null, "log_path": null, "checkpoint_path": "q1.ckpt"}'),
+    (dict(question="Q2", structure=Integers(), k=3, size_caps=5, value_range=40, seed=20260808,
+          instance_budget=400, log_path="q2.jsonl"),
+     '{"question": "Q2", "structure": "Z", "k": 3, "size_caps": [5, 5, 5, 5, 5], "mode": "random", '
+     '"seed": 20260808, "instance_budget": 400, "value_range": 40, "log_path": "q2.jsonl", "checkpoint_path": null}'),
+]
+
+
+@pytest.mark.parametrize("fields,text", CONFIG_JSON, ids=["Q1", "Q2"])
+def test_config_json_is_pinned_and_round_trips(fields, text):
+    """Checkpoints store this encoding, so its key order and values are fixed."""
+    config = HuntConfig(**fields)
+    assert json.dumps(config.to_json()) == text
+    assert HuntConfig.from_json(json.loads(text)) == config
+
+
+def test_config_from_a_minimal_object_takes_the_defaults():
+    minimal = {"question": "Q1", "structure": {"Sym": 3}, "k": 3, "comment": "ignored"}
+    assert HuntConfig.from_json(minimal) == HuntConfig(question="Q1", structure=Permutations(3), k=3)
+    for key in ("question", "structure", "k"):
+        with pytest.raises(ValueError, match=f"missing required field '{key}'"):
+            HuntConfig.from_json({k: v for k, v in minimal.items() if k != key})
 
 
 def test_different_seeds_differ(tmp_path):

@@ -87,6 +87,8 @@ def _reference_scan(structure, a, target, valid):
 
 SCAN_STRUCTURES = {
     "Z": (Integers(), lambda rng: rng.randrange(-12, 13)),
+    # spans past 64 |A| |T| take the index branch, as the other groups do
+    "sparse Z": (Integers(), lambda rng: rng.randrange(-12, 13) * 10**6),
     "Z/7": (Residues(7), lambda rng: rng.randrange(7)),
     "Z/13": (Residues(13), lambda rng: rng.randrange(13)),
     "Z/12": (Residues(12), lambda rng: rng.randrange(12)),
@@ -178,21 +180,47 @@ def test_residue_progression_keeps_no_set_tables():
     assert peak < 256 * 1024
 
 
+def test_scan_memory_follows_the_sets_not_their_span():
+    """|A| = 20 spread evenly over the span; the search stops at mask 1. Past
+    64 |A| |T| the translates take one bit per sum, not one per integer of the
+    span, and a span of 2^70 gives a result where shifted masks could not."""
+    b = int_set(0, 1, 3)
+    peaks = {}
+    for span in (10**3, 10**7, 2**70):
+        a = int_set(*(j * span // 19 for j in range(20)))
+        tracemalloc.start()
+        try:
+            witness = find_plunnecke_subset(a, b, 1, 2)
+            peaks[span] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert witness.x_set == int_set(0) and witness.achieved == 6
+    assert peaks[10**7] <= 2 * peaks[10**3]
+    assert peaks[2**70] <= 2 * peaks[10**3]
+
+
 @pytest.mark.parametrize("n", [6, 13, SUBSET_SEARCH_CAP])
 def test_progressions_scan_only_the_full_mask(n):
     """For A = {0..n-1} every X with |X| < n is ruled out by |X + T| >=
-    |X| + |T| - 1, so the scan checks one mask and keeps no 2^n table."""
-    a = int_set(*range(n))
-    tracemalloc.start()
-    try:
-        single = find_plunnecke_subset(a, int_set(0, 1), 1, 2)
-        multi = find_plunnecke_subset_multi(a, [int_set(0, 1), int_set(0, 1, 2)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert single.x_set == a and single.achieved == n + 2
-    assert multi.x_set == a and multi.achieved == n + 3
-    assert peak < 256 * 1024  # a 2^20-entry list alone takes 8 MiB
+    |X| + |T| - 1, so the scan checks one mask and keeps no 2^n table. The
+    progressions with difference 10^6 take the index branch, which uses the
+    same bound."""
+    for d in (1, 10**6):
+        a = int_set(*range(0, n * d, d))
+        tracemalloc.start()
+        try:
+            single = find_plunnecke_subset(a, int_set(0, d), 1, 2)
+            multi = find_plunnecke_subset_multi(a, [int_set(0, d), int_set(0, d, 2 * d)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert single.x_set == a and single.achieved == n + 2
+        assert multi.x_set == a and multi.achieved == n + 3
+        assert peak < 256 * 1024  # a 2^20-entry list alone takes 8 MiB
+        calls = []
+        valid = lambda c, xs: calls.append(xs) or c * n**2 <= (n + 1) ** 2 * xs
+        assert _first_valid_subset(Integers(), a, int_set(0, d, 2 * d), valid) == ((1 << n) - 1, n + 2)
+        assert len(calls) == n + 1  # the popcount tests for 1..n, then the full mask
     # Even at the lower bound every smaller X fails both searches' tests.
     for p in range(1, n):
         assert (p + 2) * n**2 > (n + 1) ** 2 * p
@@ -338,5 +366,7 @@ def test_lev_monotonicity_random(rng):
 def test_lev_monotonicity_errors():
     with pytest.raises(ValueError, match="nonempty"):
         verify_lev_monotonicity(FiniteSet(Integers(), ()), 3)
-    with pytest.raises(ValueError, match="kmax"):
-        verify_lev_monotonicity(int_set(0, 1), 1)
+    for kmax in (1, 65):
+        with pytest.raises(ValueError, match="kmax must be in 2..64"):
+            verify_lev_monotonicity(int_set(0, 1), kmax)
+    assert len(verify_lev_monotonicity(int_set(0, 1), 64)) == 64 * 63

@@ -93,6 +93,9 @@ def test_iterated_sum_examples():
     assert iterated_sum(z, int_set(7), 5).elements == (35,)
     with pytest.raises(ValueError, match="k must be positive"):
         iterated_sum(z, a, 0)
+    assert iterated_sum(z, int_set(0, 1), 64).elements == tuple(range(65))
+    with pytest.raises(ValueError, match="k must be at most 64"):
+        iterated_sum(z, a, 65)
 
 
 def test_sumset_matches_bruteforce_across_structures(rng):
