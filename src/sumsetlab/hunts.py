@@ -43,6 +43,7 @@ from .sumsets import MAX_SUMMANDS, FiniteSet, _require_nonempty, _set_from_json,
 
 
 _RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+MAX_VALUE_RANGE = 10**5  # the largest Q2 value_range: the draw tables grow with the carrier
 
 
 def _is_int(v) -> bool:
@@ -56,8 +57,8 @@ class HuntConfig:
     size_caps gives the per-set cardinality cap: k entries for Q1; for Q2 the
     caps broadcast over (A, B_1..B_k, S), k + 2 entries. A single int
     broadcasts to all positions. value_range bounds the integer carrier
-    [0, value_range] for Q2; it is at most 10^5, because the draw tables grow
-    with the carrier, and k is at most MAX_SUMMANDS.
+    [0, value_range] for Q2; it is at most MAX_VALUE_RANGE, and k is at most
+    MAX_SUMMANDS.
     """
 
     question: str
@@ -108,8 +109,8 @@ class HuntConfig:
         else:
             if not isinstance(self.structure, Integers):
                 raise ValueError("Question 2 runs over the integers")
-            if self.value_range is None or not 0 <= self.value_range <= 10**5:
-                raise ValueError(f"Question 2 needs a value_range in 0..{10**5}")
+            if self.value_range is None or not 0 <= self.value_range <= MAX_VALUE_RANGE:
+                raise ValueError(f"Question 2 needs a value_range in 0..{MAX_VALUE_RANGE}")
 
     def to_json(self):
         obj = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}

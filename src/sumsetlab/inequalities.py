@@ -19,9 +19,10 @@ Witness constructions mirror the proofs they certify:
     ruled out by a proven lower bound on |X + T| (|X| + |T| - 1 in Z and
     Z^d, min(p, |X| + |T| - 1) in Z/p for p prime, max(|X|, |T|) in any
     other group) and reads each union from two half tables of 2^(|A|/2)
-    entries. Every union is an int bitmask: integers by shifting, and every
-    other group by an index that gives each element of A + T the next bit
-    the first time it appears.
+    entries. Every union is an int bitmask: integers by shifting while the
+    span is at most 64 |A| |T|, and wider integer sets and every other group
+    by an index that gives each element of A + T the next bit the first time
+    it appears.
 
 Failures of proven statements raise TheoremViolationError: they signal an
 implementation bug, never a mathematical discovery.
@@ -542,6 +543,11 @@ def _first_valid_subset(structure, a: FiniteSet, target: FiniteSet, valid):
     bitmask shifted by x - min(A) in Z while span(A) + span(T) <= 64 |A| |T|;
     otherwise one bit per element of A + T, numbered in the order the
     elements first appear, so a wide span costs no more memory than the sums.
+    Shifting builds the translates in |A| + |T| steps against the index's
+    |A| |T| lookups, but its masks are as wide as the span. Measured on
+    random sets, it is the faster branch for a scan that stops at its first
+    mask up to a span of about 256-1024 |A| |T|, and the slower one for a
+    full scan with |A| >= 10 from about 16 |A| |T|; 64 lies between.
     """
     n = len(a)
     if n > SUBSET_SEARCH_CAP:

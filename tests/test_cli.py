@@ -9,6 +9,7 @@ import json
 import pytest
 
 from sumsetlab.cli import main
+from sumsetlab.hunts import MAX_VALUE_RANGE
 
 
 def write(path, obj):
@@ -382,7 +383,7 @@ MALFORMED = [
     ("verify", "plunnecke", {"structure": "Z", "sets": [[0, 1], [0, 1]], "i": 1, "k": 2**70}, "k must be at most 64"),
     ("verify", "lev", {"structure": "Z", "sets": [[0, 1]], "kmax": 2**70}, "kmax must be in 2..64"),
     ("hunt", None, dict(HUNT_Q2, k=2**70), "k <= 64"),
-    ("hunt", None, dict(HUNT_Q2, value_range=2**70), "value_range in 0..100000"),
+    ("hunt", None, dict(HUNT_Q2, value_range=2**70), f"value_range in 0..{MAX_VALUE_RANGE}"),
 ]
 
 

@@ -150,10 +150,10 @@ def test_config_validation():
         HuntConfig(question="Q2", structure=Permutations(3), k=3, value_range=10)
     with pytest.raises(ValueError, match="k <= 64"):
         HuntConfig(question="Q1", structure=Permutations(3), k=65)
-    for value_range in (-1, 10**5 + 1):
-        with pytest.raises(ValueError, match="value_range in 0..100000"):
+    for value_range in (-1, hunts.MAX_VALUE_RANGE + 1):
+        with pytest.raises(ValueError, match=f"value_range in 0..{hunts.MAX_VALUE_RANGE}"):
             HuntConfig(question="Q2", structure=Integers(), k=3, value_range=value_range)
-    assert HuntConfig(question="Q2", structure=Integers(), k=64, value_range=10**5).k == 64
+    assert HuntConfig(question="Q2", structure=Integers(), k=64, value_range=hunts.MAX_VALUE_RANGE).k == 64
     config = HuntConfig(question="Q1", structure=Permutations(3), k=3, size_caps=2)
     assert config.size_caps == (2, 2, 2)
     config2 = HuntConfig(question="Q2", structure=Integers(), k=3, size_caps=4, value_range=10)
