@@ -16,25 +16,31 @@ byte-identical logs. One instance stream, _instances, serves both questions
 and both modes: exhaustive mode lists the subsets under each cap by ascending
 bitmask, and random mode draws them through randrange-based subset unranking
 only: a draw makes one randrange call and unranks its result by bisecting
-Pascal columns, one bisection per element. A checkpoint records the config
-that fixes the stream, and a resume under any other config is refused, so a
-resumed log is always one a single run would write. replay re-evaluates a
-logged instance and names the field of a malformed one.
+Pascal columns, one bisection per element. Each random-mode hunt builds its
+own table of those columns before its first draw, with a row for every size
+a drawn-from set can reach (the carrier and, for Q2, B_1 + ... + B_k), so its
+size is known from the config and it is freed when the hunt ends; a hunt
+whose table would pass MAX_DRAW_TABLE entries is refused. A checkpoint
+records the config that fixes the stream, and a resume under any other config
+is refused, so a resumed log is always one a single run would write. replay
+re-evaluates a logged instance and names the field of a malformed one.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import json
+import math
 import os
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .algebra import (
+    MAX_PERMUTATION_DEGREE,
     AmbientStructure,
+    DirectPower,
     Integers,
     structure_from_json,
     structure_to_json,
@@ -43,11 +49,32 @@ from .sumsets import MAX_SUMMANDS, FiniteSet, _require_nonempty, _set_from_json,
 
 
 _RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-MAX_VALUE_RANGE = 10**5  # the largest Q2 value_range: the draw tables grow with the carrier
+MAX_VALUE_RANGE = 10**5  # the largest Q2 value_range: the draw table grows with the carrier
+MAX_CARRIER = math.factorial(MAX_PERMUTATION_DEGREE)  # the largest Q1 carrier: |Sym(8)| = 40,320
+# The largest random-mode draw table, in entries: enough for sets of up to 25
+# elements of Sym(8), and of up to 9 at MAX_VALUE_RANGE.
+MAX_DRAW_TABLE = 2**20
 
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _carrier_size(structure: AmbientStructure) -> int | None:
+    """structure.size, None for an infinite carrier. A direct power is
+    multiplied out one factor at a time and stops once past MAX_CARRIER, so
+    a huge power costs no more than a small one."""
+    if not isinstance(structure, DirectPower):
+        return structure.size
+    base = _carrier_size(structure.base)
+    if base is None or base < 2:
+        return base
+    size = 1
+    for _ in range(structure.power):
+        size *= base
+        if size > MAX_CARRIER:
+            break
+    return size
 
 
 @dataclass(frozen=True)
@@ -104,8 +131,11 @@ class HuntConfig:
         if self.question == "Q1":
             if self.structure.is_commutative:
                 raise ValueError("Question 1 targets noncommutative structures")
-            if self.structure.size is None:
+            size = _carrier_size(self.structure)
+            if size is None:
                 raise ValueError("Question 1 needs a finite carrier")
+            if size > MAX_CARRIER:
+                raise ValueError(f"Question 1 needs a carrier of at most {MAX_CARRIER} elements")
         else:
             if not isinstance(self.structure, Integers):
                 raise ValueError("Question 2 runs over the integers")
@@ -251,20 +281,13 @@ def _subsets_in_canonical_order(carrier: list, cap: int, limit: int):
             mask += mask & -mask
 
 
-@functools.cache
-def _pascal_columns(cap: int) -> list:
-    """Pascal's triangle cut to columns 0..cap; _columns lengthens them."""
-    return [[1]] + [[0] for _ in range(cap)]
-
-
 def _columns(n: int, cap: int) -> list:
-    """cols with cols[m][j] = C(j, m) for all m <= cap and j <= n; one table
-    per cap serves every carrier size."""
-    cols = _pascal_columns(cap)
-    for j in range(len(cols[0]), n + 1):
-        cols[0].append(1)
-        for m in range(1, cap + 1):
-            cols[m].append(cols[m][j - 1] + cols[m - 1][j - 1])
+    """cols with cols[m][j] = C(j, m) for all m <= cap and j <= n, by the
+    Pascal recurrence: the draw table of one hunt, built before its first
+    draw and freed with it."""
+    cols = [[1] * (n + 1)]
+    for _ in range(cap):
+        cols.append([0, *itertools.accumulate(cols[-1][:-1])])
     return cols
 
 
@@ -288,15 +311,14 @@ def _unrank_combination(n: int, s: int, r: int, cols: list) -> list:
     return out
 
 
-def _draw_subset(rng: random.Random, carrier: list, cap: int) -> list:
+def _draw_subset(rng: random.Random, carrier: list, cap: int, cols: list) -> list:
     """A uniform draw among the nonempty subsets of the carrier with at most
-    cap elements. Uses only randrange, for cross-version stability: one call
-    picks the rank among all sizes, and _unrank_combination bisects Pascal
-    columns to turn it into a subset."""
+    cap elements; cols is the hunt's table, _columns(N, c) with N >= the
+    carrier's length n and c >= min(cap, n). Uses only randrange, for
+    cross-version stability: one call picks the rank among all sizes, and
+    _unrank_combination bisects Pascal columns to turn it into a subset."""
     n = len(carrier)
-    cap = min(cap, n)
-    cols = _columns(n, cap)
-    counts = [col[n] for col in cols[1:]]
+    counts = [col[n] for col in cols[1 : min(cap, n) + 1]]
     r = rng.randrange(sum(counts))
     size = 1
     for c in counts:
@@ -312,8 +334,12 @@ def _instances(config: HuntConfig):
     question's evaluator: (structure, sets) for Q1, (A, Bs, S) for Q2, with S
     taken from B_1 + ... + B_k under the last cap. Exhaustive mode takes the
     product of the canonical-order pools, read whole, and lists every S;
-    random mode draws A, B_1..B_k, then S. The sets are ascending subsets of
-    sorted carriers of valid elements, so they are built unchecked."""
+    random mode builds the hunt's draw table, then draws A, B_1..B_k and S.
+    The table's rows cover the carrier and, for Q2, |B_1 + ... + B_k|, which
+    is at most min(prod of the B caps, k value_range + 1); a table past
+    MAX_DRAW_TABLE entries raises ValueError. All of this happens on the
+    call, before the first instance is read. The sets are ascending subsets
+    of sorted carriers of valid elements, so they are built unchecked."""
     structure, budget = config.structure, config.instance_budget
     exhaustive, caps = config.mode == "exhaustive", config.size_caps
     if config.question == "Q1":
@@ -323,8 +349,18 @@ def _instances(config: HuntConfig):
     if exhaustive:
         draws = itertools.product(*[_subsets_in_canonical_order(carrier, cap, budget) for cap in caps])
     else:
+        n = len(carrier)
+        if config.question == "Q2":
+            n = max(n, min(math.prod(caps[1:]), config.k * config.value_range + 1))
+        m = min(max(config.size_caps), n)
+        if (n + 1) * (m + 1) > MAX_DRAW_TABLE:
+            raise ValueError(
+                f"size_caps: random draws of up to {m} of {n} elements need a table of "
+                f"{(n + 1) * (m + 1)} entries, more than {MAX_DRAW_TABLE}"
+            )
+        cols = _columns(n, m)
         rng = random.Random(config.seed)
-        draws = ([_draw_subset(rng, carrier, cap) for cap in caps] for _ in itertools.count())
+        draws = ([_draw_subset(rng, carrier, cap, cols) for cap in caps] for _ in itertools.count())
 
     def stream():
         for draw in draws:
@@ -337,11 +373,11 @@ def _instances(config: HuntConfig):
             if exhaustive:
                 s_subsets = _subsets_in_canonical_order(total, cap_s, budget)
             else:
-                s_subsets = (_draw_subset(rng, total, cap_s),)
+                s_subsets = (_draw_subset(rng, total, cap_s, cols),)
             for s in s_subsets:
                 yield a, bs, FiniteSet._unchecked(structure, tuple(s))
 
-    yield from itertools.islice(stream(), budget)
+    return itertools.islice(stream(), budget)
 
 
 @dataclass
@@ -429,8 +465,10 @@ def run_hunt(config: HuntConfig) -> HuntSummary:
     checkpoint's record count, the instance stream is replayed up to the
     recorded index, and the log is appended to. A resume raises ValueError
     when the checkpoint was written for another config (any field but the
-    budget and the paths) or the log holds fewer records than it.
+    budget and the paths) or the log holds fewer records than it. A draw
+    table past MAX_DRAW_TABLE raises ValueError before any file is touched.
     """
+    instances = _instances(config)
     start_index = _read_checkpoint(config) if config.checkpoint_path else 0
     if start_index and config.log_path:
         _truncate_log(config.log_path, start_index)
@@ -440,7 +478,7 @@ def run_hunt(config: HuntConfig) -> HuntSummary:
     summary = HuntSummary(config)
     log = open(config.log_path, "a" if start_index else "w") if config.log_path else None
     try:
-        for index, inst in enumerate(itertools.islice(_instances(config), start_index, None), start_index):
+        for index, inst in enumerate(itertools.islice(instances, start_index, None), start_index):
             record = evaluate(*inst, instance_index=index)
             if log is not None:
                 log.write(record.json_line() + "\n")

@@ -461,21 +461,40 @@ def verify_restricted_three_sum(
     return _report("restsum", lhs, rhs, "<=", digest)
 
 
+# Miller-Rabin with the first 13 primes as bases decides every n below
+# _PRIME_TEST_LIMIT (Sorenson and Webster, arXiv:1509.00864).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Whether n is prime, for n < _PRIME_TEST_LIMIT: strong probable-prime
+    tests to the bases _PRIME_BASES, which no composite below it passes."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for p in _PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d >> 1, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
 def cauchy_davenport_check(p: int, a: FiniteSet, b: FiniteSet) -> InequalityReport:
     """Check |A+B| >= min(|A|+|B|-1, p) over Z/pZ, p prime."""
+    if p >= _PRIME_TEST_LIMIT:
+        raise ValueError(f"primality is decided only for moduli below {_PRIME_TEST_LIMIT}")
     if not _is_prime(p):
         raise ValueError("modulus must be prime for Cauchy-Davenport")
     structure = Residues(p)
@@ -533,7 +552,8 @@ def _first_valid_subset(structure, a: FiniteSet, target: FiniteSet, valid):
     for a proven lower bound lb(p) on |X + T|, T = target:
 
       * p + |T| - 1 in Z and Z^d (torsion-free);
-      * min(q, p + |T| - 1) in Z/q, q prime (Cauchy-Davenport);
+      * min(q, p + |T| - 1) in Z/q, q prime (Cauchy-Davenport), when q is
+        below _PRIME_TEST_LIMIT, where primality is decided;
       * max(p, |T|) in any other group (X + t is a translate of X).
 
     The scan starts at the smallest popcount p0 passing that test and visits
@@ -570,7 +590,8 @@ def _first_valid_subset(structure, a: FiniteSet, target: FiniteSet, valid):
                 u |= 1 << index.setdefault(compose(x, y), len(index))
             translates.append(u)
         growth = t - 1 if isinstance(structure, (Integers, Lattice)) or (
-            isinstance(structure, Residues) and _is_prime(structure.modulus)
+            isinstance(structure, Residues) and structure.modulus < _PRIME_TEST_LIMIT
+            and _is_prime(structure.modulus)
         ) else 0
         cap = structure.size or n + t
     # lb(p) = min(cap, max(p + growth, t)); cap = n + t never binds.

@@ -5,6 +5,7 @@ import copy
 import csv
 import io
 import json
+import signal
 
 import pytest
 
@@ -404,8 +405,13 @@ def test_malformed_input_is_one_error_line(command, name, obj, field, tmp_path, 
 
 
 HUGE = 2**70
-# One instance per verifier and one config per hunt question. A hunt runs
-# with --budget 3: a large budget asks for a long run, which is not an error.
+# Odd, so a modulus they set is tested for primality; 2^61 - 1 is prime below
+# where primality is decided and 2^89 - 1 is prime above it.
+ODD_HUGE = (2**61 - 1, 2**89 - 1)
+SECONDS_PER_MUTANT = 5
+# One instance per verifier and one config per hunt question, and a Q1 hunt
+# over a direct power. A hunt runs with --budget 3: a large budget asks for a
+# long run, which is not an error.
 SWEEP_CASES = [(["verify", "--inequality", name], obj) for name, obj, _ in DIGEST_CASES] + [
     (["verify", "--inequality", "q1"], {"structure": {"Sym": 3}, "sets": [[[1, 2, 3]], [[2, 1, 3]], [[1, 3, 2]]]}),
     (["verify", "--inequality", "q2"], {"structure": "Z", "sets": [[0, 1], [0, 1], [0, 1], [0, 1], [0, 3]]}),
@@ -413,14 +419,18 @@ SWEEP_CASES = [(["verify", "--inequality", name], obj) for name, obj, _ in DIGES
                                  "mode": "exhaustive", "instance_budget": 5}),
     (["hunt", "--budget", "3"], {"question": "Q2", "structure": "Z", "k": 3, "size_caps": [2, 1, 2, 2, 3],
                                  "value_range": 6, "seed": 1, "instance_budget": 5}),
+    (["hunt", "--budget", "3"], {"question": "Q1", "structure": {"Power": {"base": {"Sym": 3}, "k": 2}}, "k": 3,
+                                 "size_caps": 2, "seed": 1, "instance_budget": 5}),
 ]
 
 
 def _mutants(node):
     """Every copy of a JSON value with one mutation at one path: the value at
-    that path replaced by +-2^70, 2^70 as a decimal string or a value of
-    another type, wrapped in an array, or (below the root) deleted."""
-    yield from (HUGE, -HUGE, str(HUGE), "x", None, True, 1.5, {}, [node])
+    that path replaced by +-2^70, 2^70 as a decimal string, 2^61 - 1, 2^89 - 1
+    or a value of another type, wrapped in an array, or (below the root)
+    deleted. Add no value the program could accept and then allocate in
+    proportion to."""
+    yield from (HUGE, -HUGE, str(HUGE), *ODD_HUGE, "x", None, True, 1.5, {}, [node])
     keys = list(node) if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
     for key in keys:
         rest = copy.copy(node)
@@ -435,17 +445,29 @@ def _mutants(node):
 @pytest.mark.parametrize("argv, obj", SWEEP_CASES, ids=[" ".join(c[0][:3]) for c in SWEEP_CASES])
 def test_mutated_inputs_exit_cleanly(argv, obj, tmp_path, capsys):
     """No mutant of a valid input lets an exception out of main; each gives a
-    result, a finding, or one error line."""
+    result, a finding, or one error line within SECONDS_PER_MUTANT."""
     path = tmp_path / "mutant.json"
-    for mutant in _mutants(obj):
-        path.write_text(json.dumps(mutant))
-        try:
-            code = main(argv + ["--instance", str(path)])
-        except Exception as exc:  # noqa: BLE001 - name the mutant that escaped
-            pytest.fail(f"{type(exc).__name__}: {exc} escaped main on {json.dumps(mutant)}")
-        err = capsys.readouterr().err
-        assert code in (0, 1, 2), mutant
-        if code == 1:
-            assert len(err.splitlines()) == 1 and err.startswith("error:"), (mutant, err)
-        else:
-            assert err == "", (mutant, err)
+    mutant = None
+
+    def hung(signum, frame):
+        pytest.fail(f"main ran past {SECONDS_PER_MUTANT} s on {json.dumps(mutant)}")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    try:
+        for mutant in _mutants(obj):
+            path.write_text(json.dumps(mutant))
+            signal.alarm(SECONDS_PER_MUTANT)
+            try:
+                code = main(argv + ["--instance", str(path)])
+            except Exception as exc:  # noqa: BLE001 - name the mutant that escaped
+                pytest.fail(f"{type(exc).__name__}: {exc} escaped main on {json.dumps(mutant)}")
+            finally:
+                signal.alarm(0)
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), mutant
+            if code == 1:
+                assert len(err.splitlines()) == 1 and err.startswith("error:"), (mutant, err)
+            else:
+                assert err == "", (mutant, err)
+    finally:
+        signal.signal(signal.SIGALRM, previous)

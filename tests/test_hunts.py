@@ -6,12 +6,14 @@ import itertools
 import json
 import math
 import random
+import time
 import tracemalloc
 
 import pytest
 
 from sumsetlab import hunts
 from sumsetlab import (
+    DirectPower,
     FiniteSet,
     HuntConfig,
     Integers,
@@ -160,6 +162,51 @@ def test_config_validation():
     assert config2.size_caps == (4,) * 5
 
 
+@pytest.mark.parametrize("base, power", [(Permutations(3), 2**70), (Permutations(3), 10**6),
+                                         (Permutations(8), 3), (Permutations(3), 6)],
+                         ids=["Sym3^2^70", "Sym3^10^6", "Sym8^3", "Sym3^6"])
+def test_q1_carriers_past_the_cap_are_refused_at_once(base, power):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"carrier of at most {hunts.MAX_CARRIER} elements"):
+        HuntConfig(question="Q1", structure=DirectPower(base, power), k=3)
+    assert time.perf_counter() - start < 1
+
+
+def test_q1_hunts_run_over_direct_powers():
+    # 6^5 = 7,776 elements, the largest power of Sym(3) under the cap
+    config = HuntConfig(question="Q1", structure=DirectPower(Permutations(3), 5), k=3, size_caps=3,
+                        seed=2, instance_budget=20)
+    summary = run_hunt(config)
+    assert summary.instances_run == 20 and not summary.violations
+
+
+@pytest.mark.parametrize("size_caps", [200, 2000])
+def test_oversized_draw_tables_are_refused_before_the_log_opens(tmp_path, size_caps):
+    # Sym(8) has 40,320 elements: 40,321 rows of size_caps + 1 columns
+    log = tmp_path / "hunt.jsonl"
+    config = HuntConfig(question="Q1", structure=Permutations(8), k=3, size_caps=size_caps,
+                        instance_budget=1, log_path=str(log))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"more than {hunts.MAX_DRAW_TABLE}"):
+        run_hunt(config)
+    assert time.perf_counter() - start < 1
+    assert not log.exists()
+
+
+def test_a_random_hunt_leaves_no_draw_table_behind():
+    """The draw table of Sym(7) at caps 12 (5,041 rows of 13 columns) takes
+    megabytes; it is the hunt's own and goes when the hunt returns."""
+    config = HuntConfig(question="Q1", structure=Permutations(7), k=3, size_caps=12, instance_budget=1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert run_hunt(config).instances_run == 1
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 256 * 1024
+
+
 def test_budget_zero_is_empty(tmp_path):
     log = tmp_path / "hunt.jsonl"
     config = HuntConfig(
@@ -247,13 +294,15 @@ def _reference_draw(rng, carrier, cap):
 
 
 def test_draws_match_the_math_comb_reference():
-    # |B_1 + B_2 + B_3| reaches 121 at value_range 40, so S draws from carriers that large
+    # |B_1 + B_2 + B_3| reaches 121 at value_range 40, so S draws from carriers
+    # that large. A hunt's one table serves carriers of every smaller length.
+    cols = hunts._columns(130, 6)
     for n in range(1, 131):
         carrier = list(range(100, 100 + n))
         for cap in range(1, 7):
             ours, ref = random.Random(n * 7 + cap), random.Random(n * 7 + cap)
             for _ in range(25):
-                assert hunts._draw_subset(ours, carrier, cap) == _reference_draw(ref, carrier, cap)
+                assert hunts._draw_subset(ours, carrier, cap, cols) == _reference_draw(ref, carrier, cap)
             assert ours.getstate() == ref.getstate()  # the same randrange calls
 
 
@@ -515,6 +564,12 @@ PINNED_LOGS = [
           mode="exhaustive", instance_budget=2000), "37e761e5b9ed4765"),
     (dict(question="Q2", structure=Integers(), k=4, size_caps=2, value_range=5,
           mode="exhaustive", instance_budget=700), "006afe75c736752f"),
+    # Random Q2 rows where each bound on |B_1 + ... + B_k| binds in the draw
+    # table: k value_range + 1 = 9 below 5^4, and the B caps' product 2 below 201.
+    (dict(question="Q2", structure=Integers(), k=4, size_caps=5, value_range=2,
+          mode="random", seed=11, instance_budget=300), "52aa22d134000b74"),
+    (dict(question="Q2", structure=Integers(), k=5, size_caps=[5, 1, 1, 1, 2, 1, 5], value_range=40,
+          mode="random", seed=7, instance_budget=300), "0e6d776a2b829a31"),
 ]
 
 

@@ -97,6 +97,10 @@ SCAN_STRUCTURES = {
     "Z^2": (Lattice(2), lambda rng: (rng.randrange(-3, 4), rng.randrange(-3, 4))),
     "(Z/5)^2": (DirectPower(Residues(5), 2), lambda rng: (rng.randrange(5), rng.randrange(5))),
     "Z/101": (Residues(101), lambda rng: rng.randrange(101)),
+    # a prime where the Cauchy-Davenport bound applies, and one past where
+    # primality is decided, so the scan uses the translate bound
+    "Z/(2^61-1)": (Residues(2**61 - 1), lambda rng: rng.randrange(-12, 13) % (2**61 - 1)),
+    "Z/(2^89-1)": (Residues(2**89 - 1), lambda rng: rng.randrange(-12, 13) % (2**89 - 1)),
     "Z^3": (Lattice(3), lambda rng: tuple(rng.randrange(-2, 3) for _ in range(3))),
     "Z x Z": (DirectPower(Integers(), 2), lambda rng: (rng.randrange(-4, 5), rng.randrange(-4, 5))),
     "Sym(2)": (Permutations(2), lambda rng: rng.choice([(1, 2), (2, 1)])),

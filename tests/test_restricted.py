@@ -1,5 +1,6 @@
 """Restricted three-sum bound and the prime-modulus lower bound."""
 
+import math
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from sumsetlab import (
     sumset,
     verify_restricted_three_sum,
 )
+from sumsetlab.inequalities import _PRIME_TEST_LIMIT, _is_prime
 
 from conftest import int_set, random_int_set, random_subset
 
@@ -104,3 +106,32 @@ def test_cauchy_davenport_random_primes(rng):
         assert report.holds
         assert report.lhs == len(sumset(zmod, [a, b]))
         assert report.rhs == min(len(a) + len(b) - 1, p)
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+def test_primality_matches_trial_division():
+    assert [n for n in range(10**5) if _is_prime(n)] == [n for n in range(10**5) if _trial_division(n)]
+
+
+@pytest.mark.parametrize("n, prime", [
+    (561, False),  # a Carmichael number
+    (3215031751, False),  # a strong pseudoprime to the bases 2, 3, 5 and 7
+    (3825123056546413051, False),  # a strong pseudoprime to every prime base up to 23
+    (2**61 - 1, True),
+])
+def test_primality_past_small_bases(n, prime):
+    assert _is_prime(n) is prime
+
+
+def test_cauchy_davenport_refuses_moduli_past_the_primality_test():
+    p = 2**89 - 1  # prime, but past where the bases decide primality
+    assert p >= _PRIME_TEST_LIMIT
+    a = FiniteSet(Residues(p), (0, 1))
+    with pytest.raises(ValueError, match="primality is decided only for moduli below"):
+        cauchy_davenport_check(p, a, a)
+    q = 2**61 - 1
+    b = FiniteSet(Residues(q), (0, 1))
+    assert cauchy_davenport_check(q, b, b).lhs == 3
