@@ -26,7 +26,7 @@ import io
 import json
 import sys
 
-from .algebra import Integers, Lattice, Permutations, Residues
+from .algebra import Integers, Permutations, Residues
 from .hunts import HuntConfig, HuntRecord, eval_question1, eval_question2, run_hunt
 from .inequalities import (
     CSV_HEADER,
@@ -38,7 +38,6 @@ from .inequalities import (
     greedy_distinct_triple_sums,
     lex_min_decomposition,
     plunnecke_report,
-    tensor_power_identity_check,
     torsion_free_reduce,
     verify_graph_sum,
     verify_lev_monotonicity,
@@ -272,6 +271,38 @@ def _cmd_hunt(args):
 
 # --- Self test -----------------------------------------------------------------
 
+# One built-in instance per registered verifier (two for superadd) and the
+# (lhs, rhs) of its first report or record. Each runs through its VERIFIERS
+# runner exactly as `verify` runs it.
+_SELFTEST_CASES = [
+    ("superadd", {"structure": "Z", "sets": [[0, 2], [0, 1], [0, 3]]}, (14, 11)),
+    ("superadd", {"structure": "Z", "sets": [[0], [0]]}, (1, 1)),
+    ("superadd-tf", {"structure": {"Zd": 2}, "sets": [[[0, 0], [1, 0]], [[0, 0], [0, 1]]]}, (4, 3)),
+    ("submult", {"structure": "Z", "sets": [[0, 2], [0, 1], [0, 3]]}, (49, 64)),
+    ("projection", {"structure": {"Zd": 3}, "sets": [[[a, b, c] for a in (0, 1) for b in (0, 1) for c in (0, 1)]]},
+     (64, 64)),
+    ("restsum", {"structure": "Z", "sets": [[0, 1], [0, 1], [0, 2], [0, 3]]}, (16, 24)),
+    ("cauchy-davenport", {"structure": {"Zmod": 5}, "sets": [[0, 1, 2], [0, 1, 2]]}, (5, 5)),
+    ("plunnecke", {"structure": "Z", "sets": [[0], [0, 1, 3]], "i": 1, "k": 2}, (6, 9)),
+    ("plunnecke-multi", {"structure": "Z", "sets": [[0, 1], [0, 1], [0, 2]]}, (5, 6)),
+    ("plunnecke-large", {"structure": "Z", "sets": [[0, 1], [0, 1], [0, 2]], "k": 2}, (5, 15)),
+    ("lev", {"structure": "Z", "sets": [[0, 1, 3]], "kmax": 3}, (4, 5)),
+    ("tensor", {"structure": "Z", "sets": [[0, 1], [0, 2]], "k": 2}, (16, 16)),
+    ("graphsum", {"structure": "Z", "sets": [[1, 2, 3]],
+                  "graph": {"edges": [[1, 2], [1, 3], [2, 3]], "symmetric": True, "loops": False}}, (1, 27)),
+    ("q1", {"structure": {"Sym": 3}, "sets": [[[1, 2, 3], [2, 1, 3]], [[2, 1, 3], [1, 3, 2]], [[1, 3, 2], [2, 3, 1]]]},
+     (36, 64)),
+    ("q2", {"structure": "Z", "sets": [[0, 1], [0, 1], [0, 1], [0, 1], [0, 3]]}, (64, 128)),
+]
+
+
+def _check_case(name, obj, expected):
+    result = VERIFIERS[name][0](*instance_from_json(obj))
+    record = isinstance(result, HuntRecord)
+    first, holds = (result, not result.violation) if record else (result[0][0], all(r.holds for r in result[0]))
+    if (first.lhs, first.rhs) != expected or not holds:  # raised, not asserted, so that python -O checks it
+        raise AssertionError(f"got {first.lhs}/{first.rhs}, holds: {holds}")
+
 
 def _selftest_checks():
     from fractions import Fraction
@@ -301,59 +332,8 @@ def _selftest_checks():
         assert len(iterated_sum(zint, a, 2)) == 6
         assert len(iterated_sum(zint, a, 3)) == 9
 
-    def check_superadd():
-        report, witness = verify_superadditivity([fs(0, 2), fs(0, 1), fs(0, 3)])
-        assert report.holds and report.lhs == 14 and report.rhs == 11
-        assert witness.mark_count() == 11
-        eq, _ = verify_superadditivity([fs(0), fs(0)])
-        assert eq.holds and eq.slack == 0
-
-    def check_submult():
-        report = verify_submultiplicativity(zint, [fs(0, 2), fs(0, 1), fs(0, 3)])
-        assert report.holds and report.lhs == 49 and report.rhs == 64
-        lex = lex_min_decomposition(zint, [fs(0, 1), fs(0, 1)])
-        assert lex.mapping == {0: (1, 1), 1: (1, 2), 2: (2, 2)}
-
-    def check_projection():
-        import itertools
-
-        box = list(itertools.product((0, 1), repeat=3))
-        report = verify_projection_lemma(box)
-        assert report.holds and report.lhs == 64 and report.rhs == 64
-
-    def check_restsum():
-        report = verify_restricted_three_sum(zint, fs(0, 1), fs(0, 1), fs(0, 2), fs(0, 3))
-        assert report.holds and report.lhs == 16 and report.rhs == 24
-
-    def check_cauchy():
-        zmod = Residues(5)
-        a = FiniteSet(zmod, (0, 1, 2))
-        report = cauchy_davenport_check(5, a, a)
-        assert report.holds and report.lhs == 5
-
-    def check_plunnecke():
-        w = find_plunnecke_subset(fs(0), fs(0, 1, 3), 1, 2)
-        assert w.x_set.elements == (0,) and w.achieved == 6 and w.bound == 9
-        w2 = find_plunnecke_subset_multi(fs(0, 1), [fs(0, 1), fs(0, 2)])
-        assert w2.x_set.elements == (0, 1) and w2.achieved == 5
-        w3 = construct_large_subset(fs(0, 1), [fs(0, 1), fs(0, 2)], 2)
-        assert w3.bound == 15 and w3.achieved == 5
+    def check_smoothed_bound():
         assert smoothed_growth_bound(2, 12, 2, 0, 2) == Fraction(24, 4)
-
-    def check_lev():
-        reports = verify_lev_monotonicity(fs(0, 1, 3), 3)
-        assert all(r.holds for r in reports)
-
-    def check_torsion_free():
-        lat = Lattice(2)
-        sets = [FiniteSet(lat, ((0, 0), (1, 0))), FiniteSet(lat, ((0, 0), (0, 1)))]
-        m, images, preimages = torsion_free_reduce(sets)
-        assert all(len(p) <= 2 for p in preimages)
-        report, _ = verify_superadditivity(images)
-        assert report.holds
-
-    def check_tensor():
-        assert tensor_power_identity_check(zint, fs(0, 1), fs(0, 2), 2)
 
     def check_family():
         s = fs(82, 84, 88, 96, 112, 144)
@@ -377,15 +357,11 @@ def _selftest_checks():
     return [
         ("compose", check_compose),
         ("sumsets", check_sumsets),
-        ("superadditivity", check_superadd),
-        ("submultiplicativity", check_submult),
-        ("projection", check_projection),
-        ("restricted-three-sum", check_restsum),
-        ("cauchy-davenport", check_cauchy),
-        ("plunnecke", check_plunnecke),
-        ("lev-monotonicity", check_lev),
-        ("torsion-free", check_torsion_free),
-        ("tensor", check_tensor),
+        ("smoothed-bound", check_smoothed_bound),
+        *(
+            (f"{name} {lhs}/{rhs}", functools.partial(_check_case, name, obj, (lhs, rhs)))
+            for name, obj, (lhs, rhs) in _SELFTEST_CASES
+        ),
         ("graph-family", check_family),
         ("hunts", check_hunts),
     ]

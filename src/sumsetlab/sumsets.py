@@ -1,13 +1,14 @@
 """Finite sets over an ambient structure and their n-fold sumsets.
 
 Sumsets fold left to right through a hash/set fold. An integer sumset folds
-all summands into one offset and bitmask by shift-or, decoded once, while its
-sums are dense: the total spread sum(max - min) is at most the product of the
-set sizes, and before each later summand at most the partial sum's size times
-the sizes still to come. The decode runs in C: the bit string, reversed and
-translated to 0/1 bytes, selects the sums from a range with
-itertools.compress. The engine choice is internal; results are identical
-element for element.
+all summands into one offset and bitmask by shift-or, decoded once, when its
+sums are dense: the total spread sum(max - min) is at most a bound on the
+number of sums, taken once before the fold. The bound is the product over
+runs of adjacent equal summands: a run of r copies of an m-set has at most
+C(r + m - 1, r) sums, counted as multisets, and a lone summand contributes
+its size. The decode runs in C: the bit string, reversed and translated to
+0/1 bytes, selects the sums from a range with itertools.compress. The engine
+choice is internal; results are identical element for element.
 
 Restricted sums are driven by an AdditionGraph, an index-level edge relation
 on the operand sets. Graph indices are 0-based in memory and 1-based in the
@@ -183,24 +184,29 @@ _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 def _integer_fold(sets) -> tuple | None:
     """Integer sumset by one shift-or fold into an offset and bitmask, decoded
-    once; None, leaving it to the hash fold, as soon as the sums prove sparse
-    by the module docstring's test (progressions with a large difference do).
+    once; None, leaving it to the hash fold, when the spread exceeds the
+    module docstring's bound on the number of sums, so the mask would hold
+    more bits than there can be sums (as for progressions with a large
+    difference, or iterated sums of a Sidon-like set).
 
     The decode maps bit i to the flag byte i and lets compress pick the sums
     from range(offset, offset + bit_length). The list is built before the
     tuple: a tuple made straight from the iterator, whose length is unknown,
     grows by resizing and fragments the heap."""
-    spread, remaining = 0, 1
+    spread, bound, run, prev = 0, 1, 0, None
     for s in sets:
         xs = s.elements
         spread += xs[-1] - xs[0]
-        remaining *= len(xs)
+        run = run + 1 if xs == prev else 1
+        # C(r + m - 1, r) = C(r + m - 2, r - 1) * (r + m - 1) / r; the division
+        # is exact, as the product so far holds C(r + m - 2, r - 1) as a factor
+        bound = bound * (run + len(xs) - 1) // run
+        prev = xs
+    if spread > bound:
+        return None
     offset, bits = 0, 1
     for s in sets:
-        if spread > bits.bit_count() * remaining:
-            return None
         xs = s.elements
-        remaining //= len(xs)
         lo = xs[0]
         offset += lo
         acc = 0

@@ -3,12 +3,15 @@
 import argparse
 import copy
 import csv
+import dataclasses
 import io
 import json
 import signal
+from fractions import Fraction
 
 import pytest
 
+from sumsetlab import cli
 from sumsetlab.cli import main
 from sumsetlab.hunts import MAX_VALUE_RANGE
 
@@ -270,6 +273,25 @@ def test_selftest_passes(capsys):
     assert out.count("PASS") >= 10
 
 
+def test_selftest_covers_every_verifier():
+    assert {name for name, _, _ in cli._SELFTEST_CASES} == set(cli.VERIFIERS)
+
+
+@pytest.mark.parametrize("change", [{"lhs": Fraction(17)}, {"holds": False}], ids=["lhs", "holds"])
+def test_selftest_fails_on_a_wrong_verifier(change, monkeypatch, capsys):
+    """A registry runner whose report is off fails selftest, on its own line."""
+    run, has_witness = cli.VERIFIERS["tensor"]
+
+    def wrong(*instance):
+        reports, witness = run(*instance)
+        return [dataclasses.replace(reports[0], **change)], witness
+
+    monkeypatch.setitem(cli.VERIFIERS, "tensor", (wrong, has_witness))
+    assert main(["selftest"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("PASS")]
+    assert len(failed) == 1 and failed[0].startswith("FAIL  tensor 16/16: ")
+
+
 # Pinned instance digests, one instance per inequality: reports are keyed by
 # these values, so a change in how any verifier digests its instance shows here.
 DIGEST_CASES = [
@@ -307,6 +329,13 @@ def test_instance_digests_are_stable(name, obj, digest, tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     reports = out.get("reports", [out])
     assert {r["instance_digest"] for r in reports} == {digest}
+
+
+def test_hunt_records_refuse_csv(tmp_path, capsys):
+    path = write(tmp_path / "q.json", {"structure": {"Sym": 3}, "sets": [[[1, 2, 3]], [[2, 1, 3]], [[1, 3, 2]]]})
+    assert main(["verify", "--instance", path, "--inequality", "q1", "--out", "csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: q1/q2 records support JSON output only\n" and captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -385,6 +414,15 @@ MALFORMED = [
     ("verify", "lev", {"structure": "Z", "sets": [[0, 1]], "kmax": 2**70}, "kmax must be in 2..64"),
     ("hunt", None, dict(HUNT_Q2, k=2**70), "k <= 64"),
     ("hunt", None, dict(HUNT_Q2, value_range=2**70), f"value_range in 0..{MAX_VALUE_RANGE}"),
+    # a structure or a set count a verifier does not accept
+    ("verify", "cauchy-davenport", {"structure": "Z", "sets": [[0, 1], [0, 1]]}, "expects a Zmod structure"),
+    ("verify", "plunnecke-multi", {"structure": "Z", "sets": [[0, 1]]}, "at least one B"),
+    ("verify", "plunnecke-large", {"structure": "Z", "sets": [[0, 1]], "k": 2}, "at least one B"),
+    ("verify", "submult", {"structure": "Z", "sets": [[0, 1]]}, "at least two summands"),
+    ("verify", "plunnecke", {"structure": {"Zmod": 7}, "sets": [[0, 1], [0, 1]], "i": 1, "k": 2},
+     "expected integer sets"),
+    ("verify", "lev", {"structure": {"Zmod": 7}, "sets": [[0, 1]]}, "expected integer sets"),
+    ("verify", "tensor", {"structure": "Z", "sets": [list(range(7)), [0, 1]]}, "at most 6 elements"),
 ]
 
 

@@ -139,6 +139,8 @@ def test_replay_reproduces_records(rng):
         replay([record2.instance])
     with pytest.raises(ValueError, match=r"^structure: unknown structure encoding 7$"):
         replay(dict(record2.instance, structure=7))
+    with pytest.raises(ValueError, match=r"^unknown question 'Q3'$"):
+        replay({"question": "Q3", "structure": "Z"})
 
 
 def test_config_validation():
@@ -477,6 +479,25 @@ def test_resume_refuses_a_log_shorter_than_the_checkpoint(tmp_path):
     with pytest.raises(ValueError, match="fewer than the checkpoint's 5 records"):
         run_hunt(config)
     assert log.read_text() == "{}\n" * 4
+
+
+def test_resume_refuses_a_deleted_log(tmp_path):
+    log, ckpt = tmp_path / "log.jsonl", tmp_path / "ckpt.json"
+    config = HuntConfig(
+        question="Q2",
+        structure=Integers(),
+        k=3,
+        value_range=5,
+        instance_budget=2,
+        log_path=str(log),
+        checkpoint_path=str(ckpt),
+    )
+    run_hunt(config)
+    log.unlink()
+    body = ckpt.read_text()
+    with pytest.raises(ValueError, match="holds fewer than the checkpoint's 2 records"):
+        run_hunt(dataclasses.replace(config, instance_budget=4))
+    assert not log.exists() and ckpt.read_text() == body
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,9 @@
 
 import itertools
 import json
+import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -147,8 +149,8 @@ def test_sumset_matches_bruteforce_across_structures(rng):
 
 def test_integer_engines_match_bruteforce(rng, monkeypatch):
     """Integer sumsets take the bitmask fold while the total spread is at most
-    the bound on the number of sums (the product of the set sizes, then the
-    partial sum's size times the sizes still to come), and the hash fold past it."""
+    the bound on the number of sums (the product of the set sizes when no
+    summand equals the one before it), and the hash fold past it."""
     z = Integers()
     outcomes = []
     bitmask_fold = sumsets._integer_fold
@@ -187,8 +189,75 @@ def test_integer_engines_match_bruteforce(rng, monkeypatch):
                 assert took_bitmask([*heads, last]) == bitmask
 
     # Progressions with a common difference: dense by the product of the
-    # sizes, but the partial sums collide, so the fold hands over to the hash fold.
+    # sizes, but four equal summands have at most C(8, 4) = 70 sums, fewer
+    # than the spread 320, so the hash fold takes them.
     assert not took_bitmask([FiniteSet(z, tuple(range(-40, 60, 20)))] * 4)
+
+
+@pytest.mark.parametrize("k, m", [(2, 3), (3, 4), (4, 2), (5, 5), (16, 1)])
+def test_a_run_of_equal_summands_counts_as_multisets(k, m):
+    """k adjacent equal m-sets have at most C(k + m - 1, k) sums. After a
+    leading {0, d} the bound is 2 C(k + m - 1, k): a spread of exactly that
+    takes the bitmask fold and one more the hash fold, whether the run repeats
+    one set or holds equal-valued copies."""
+    z = Integers()
+    bound = 2 * math.comb(k + m - 1, k)
+    a = int_set(*range(m))
+    for d, bitmask in ((bound - k * (m - 1), True), (bound - k * (m - 1) + 1, False)):
+        for run in ([a] * k, [int_set(*range(m)) for _ in range(k)]):
+            sets = [int_set(0, d), *run]
+            assert sum(s.max() - s.min() for s in sets) == bound + (not bitmask)
+            assert (sumsets._integer_fold(sets) is not None) == bitmask
+            assert sumset(z, sets).elements == tuple(sorted(brute_sumset(z, sets)))
+
+
+def test_equal_summands_apart_count_by_the_product():
+    """Only adjacent equal summands make a run: [a, b, a] is bounded by
+    |a| |b| |a|, so a spread of exactly that takes the bitmask fold."""
+    z = Integers()
+    a = int_set(0, 1, 2, 3)
+    for d, bitmask in ((26, True), (27, False)):  # spread 3 + d + 3 against 4 * 2 * 4
+        sets = [a, int_set(0, d), a]
+        assert (sumsets._integer_fold(sets) is not None) == bitmask
+        assert sumset(z, sets).elements == tuple(sorted(brute_sumset(z, sets)))
+
+
+def test_runs_of_summands_match_bruteforce(rng):
+    """Sums built from runs of repeated summands, dense and sparse, agree
+    with the oracle on both engines."""
+    z = Integers()
+    engines = []
+    for _ in range(300):
+        sets = []
+        while len(sets) < 5:
+            lo = rng.randrange(-30, 30)
+            s = random_int_set(rng, max_size=4, lo=lo, hi=lo + rng.choice([3, 12, 40, 10**6]))
+            r = rng.randrange(1, 6 - len(sets))
+            sets += rng.choice([[s] * r, [FiniteSet(z, s.elements) for _ in range(r)]])
+            if rng.random() < 0.3:
+                break
+        folded = sumsets._integer_fold(sets)
+        expected = tuple(sorted(brute_sumset(z, sets)))
+        assert folded in (None, expected)
+        assert sumset(z, sets).elements == expected
+        engines.append(folded is not None)
+    assert any(engines) and not all(engines)
+
+
+def test_iterated_sums_of_a_sidon_like_set_stay_small():
+    """12B for B = {13^j : j < 8} has C(19, 7) = 50,388 sums over a spread
+    of about 7.5 * 10^8: counted as a multiset, the run of equal summands
+    goes to the hash fold rather than a mask that wide."""
+    z = Integers()
+    b = FiniteSet(z, tuple(13**j for j in range(8)))
+    tracemalloc.start()
+    try:
+        total = iterated_sum(z, b, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(total) == math.comb(19, 7) == 50388
+    assert peak < 16 * 2**20
 
 
 def _spanning_set(rng, lo, span, size):
