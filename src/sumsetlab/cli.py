@@ -25,8 +25,9 @@ import functools
 import io
 import json
 import sys
+from fractions import Fraction
 
-from .algebra import Integers, Permutations, Residues
+from .algebra import Integers, IntersectionSemigroup, Permutations, Residues, canonical_order, compose
 from .hunts import HuntConfig, HuntRecord, eval_question1, eval_question2, run_hunt
 from .inequalities import (
     CSV_HEADER,
@@ -38,6 +39,7 @@ from .inequalities import (
     greedy_distinct_triple_sums,
     lex_min_decomposition,
     plunnecke_report,
+    smoothed_growth_bound,
     torsion_free_reduce,
     verify_graph_sum,
     verify_lev_monotonicity,
@@ -47,7 +49,7 @@ from .inequalities import (
     verify_superadditivity,
     verify_tensor_power,
 )
-from .sumsets import FiniteSet, instance_from_json, sumset
+from .sumsets import FiniteSet, instance_from_json, iterated_sum, leave_one_out, sumset
 
 
 def _need_sets(sets, count, what):
@@ -296,87 +298,64 @@ _SELFTEST_CASES = [
 ]
 
 
-def _check_case(name, obj, expected):
+def _check_case(name, obj):
+    """(lhs, rhs, holds) of a registry row: the first report or record, and
+    whether every report holds or the record shows no violation."""
     result = VERIFIERS[name][0](*instance_from_json(obj))
-    record = isinstance(result, HuntRecord)
-    first, holds = (result, not result.violation) if record else (result[0][0], all(r.holds for r in result[0]))
-    if (first.lhs, first.rhs) != expected or not holds:  # raised, not asserted, so that python -O checks it
-        raise AssertionError(f"got {first.lhs}/{first.rhs}, holds: {holds}")
+    if isinstance(result, HuntRecord):
+        return result.lhs, result.rhs, not result.violation
+    reports = result[0]
+    return reports[0].lhs, reports[0].rhs, all(r.holds for r in reports)
 
 
-def _selftest_checks():
-    from fractions import Fraction
-
-    from .algebra import IntersectionSemigroup, canonical_order, compose
-    from .inequalities import smoothed_growth_bound
-
-    zint = Integers()
-
-    def fs(*xs):
-        return FiniteSet(zint, tuple(xs))
-
-    def check_compose():
-        assert compose(zint, 2, 3) == 5
-        assert compose(Residues(5), 3, 4) == 2
-        semi = IntersectionSemigroup(4)
-        assert compose(semi, semi.mask([1, 2, 3]), semi.mask([2, 3, 4])) == semi.mask([2, 3])
-        assert canonical_order(zint, [3, 1, 2]) == [1, 2, 3]
-
-    def check_sumsets():
-        triple = [fs(0, 2), fs(0, 1), fs(0, 3)]
-        assert sumset(zint, triple).elements == (0, 1, 2, 3, 4, 5, 6)
-        from .sumsets import iterated_sum, leave_one_out
-
-        assert leave_one_out(zint, triple, 1).elements == (0, 1, 3, 4)
-        a = fs(0, 1, 3)
-        assert len(iterated_sum(zint, a, 2)) == 6
-        assert len(iterated_sum(zint, a, 3)) == 9
-
-    def check_smoothed_bound():
-        assert smoothed_growth_bound(2, 12, 2, 0, 2) == Fraction(24, 4)
-
-    def check_family():
-        s = fs(82, 84, 88, 96, 112, 144)
-        _, _, report = build_graph_counterexample(120, s)
-        assert not report.holds and report.lhs == 2116 and report.rhs == 216
-        grown = greedy_distinct_triple_sums(120, 6)
-        assert len(grown) == 6
-
-    def check_hunts():
-        config = HuntConfig(
-            question="Q1",
-            structure=Permutations(3),
-            k=3,
-            size_caps=2,
-            mode="exhaustive",
-            instance_budget=50,
-        )
-        summary = run_hunt(config)
-        assert summary.instances_run == 50 and not summary.violations
-
-    return [
-        ("compose", check_compose),
-        ("sumsets", check_sumsets),
-        ("smoothed-bound", check_smoothed_bound),
-        *(
-            (f"{name} {lhs}/{rhs}", functools.partial(_check_case, name, obj, (lhs, rhs)))
-            for name, obj, (lhs, rhs) in _SELFTEST_CASES
-        ),
-        ("graph-family", check_family),
-        ("hunts", check_hunts),
-    ]
+# The selftest table, in print order: (label, check, expected). Each check
+# takes no arguments and builds its own inputs, so a broken constructor fails
+# only its own rows; `_cmd_selftest` compares what it returns with expected.
+_SELFTEST_ROWS = [
+    ("compose", lambda: (
+        compose(Integers(), 2, 3),
+        compose(Residues(5), 3, 4),
+        compose(semi := IntersectionSemigroup(4), semi.mask([1, 2, 3]), semi.mask([2, 3, 4])),
+        canonical_order(Integers(), [3, 1, 2]),
+    ), (5, 2, 0b0110, [1, 2, 3])),
+    ("sumsets", lambda: (
+        sumset(z := Integers(), triple := [FiniteSet(z, xs) for xs in ((0, 2), (0, 1), (0, 3))]).elements,
+        leave_one_out(z, triple, 1).elements,
+        len(iterated_sum(z, a := FiniteSet(z, (0, 1, 3)), 2)),
+        len(iterated_sum(z, a, 3)),
+    ), ((0, 1, 2, 3, 4, 5, 6), (0, 1, 3, 4), 6, 9)),
+    ("smoothed-bound", lambda: smoothed_growth_bound(2, 12, 2, 0, 2), Fraction(24, 4)),
+    *(
+        (f"{name} {lhs}/{rhs}", functools.partial(_check_case, name, obj), (lhs, rhs, True))
+        for name, obj, (lhs, rhs) in _SELFTEST_CASES
+    ),
+    ("graph-family", lambda: (
+        (report := build_graph_counterexample(120, FiniteSet(Integers(), (82, 84, 88, 96, 112, 144)))[2]).holds,
+        report.lhs,
+        report.rhs,
+        len(greedy_distinct_triple_sums(120, 6)),
+    ), (False, 2116, 216, 6)),
+    ("hunts", lambda: (
+        (summary := run_hunt(HuntConfig(
+            question="Q1", structure=Permutations(3), k=3, size_caps=2, mode="exhaustive", instance_budget=50,
+        ))).instances_run,
+        summary.violations,
+    ), (50, [])),
+]
 
 
 def _cmd_selftest(_args):
     failures = 0
-    for name, check in _selftest_checks():
+    for label, check, expected in _SELFTEST_ROWS:
         try:
-            check()
+            got = check()
+            if got != expected:  # raised, not asserted, so that python -O checks it
+                raise AssertionError(f"got {got!r}, expected {expected!r}")
         except Exception as exc:  # noqa: BLE001 - report and continue
             failures += 1
-            print(f"FAIL  {name}: {exc}")
+            print(f"FAIL  {label}: {exc}")
         else:
-            print(f"PASS  {name}")
+            print(f"PASS  {label}")
     return 1 if failures else 0
 
 

@@ -35,6 +35,7 @@ import math
 import os
 import random
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .algebra import (
@@ -266,7 +267,7 @@ def replay(instance: dict, instance_index: int = 0) -> HuntRecord:
 # --- Instance generation -------------------------------------------------------
 
 
-def _subsets_in_canonical_order(carrier: list, cap: int, limit: int):
+def _subsets_in_canonical_order(carrier: Sequence, cap: int, limit: int):
     """Up to `limit` nonempty subsets of the carrier with at most cap
     elements, by ascending bitmask over the canonical element order, made one
     at a time as they are read. A mask past the cap steps by its lowest set
@@ -311,7 +312,7 @@ def _unrank_combination(n: int, s: int, r: int, cols: list) -> list:
     return out
 
 
-def _draw_subset(rng: random.Random, carrier: list, cap: int, cols: list) -> list:
+def _draw_subset(rng: random.Random, carrier: Sequence, cap: int, cols: list) -> list:
     """A uniform draw among the nonempty subsets of the carrier with at most
     cap elements; cols is the hunt's table, _columns(N, c) with N >= the
     carrier's length n and c >= min(cap, n). Uses only randrange, for
@@ -345,7 +346,7 @@ def _instances(config: HuntConfig):
     if config.question == "Q1":
         carrier = sorted(structure.elements())
     else:
-        carrier, caps, cap_s = list(range(config.value_range + 1)), caps[:-1], caps[-1]
+        carrier, caps, cap_s = range(config.value_range + 1), caps[:-1], caps[-1]
     if exhaustive:
         draws = itertools.product(*[_subsets_in_canonical_order(carrier, cap, budget) for cap in caps])
     else:

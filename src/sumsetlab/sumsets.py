@@ -67,9 +67,6 @@ class FiniteSet:
     def __iter__(self):
         return iter(self.elements)
 
-    def __contains__(self, x):
-        return x in set(self.elements)
-
     def min(self):
         return self.elements[0]
 
@@ -269,32 +266,26 @@ def graph_triple_sumset(a: FiniteSet, g: AdditionGraph) -> FiniteSet:
     """Sums a_1 + a_2 + a_3 over triples of A in which every pair is an edge.
 
     Requires a symmetric self-graph. Triples may repeat an element when the
-    corresponding loop edge is present. Sums compose in ascending index order.
+    corresponding loop edge is present. Sums compose in ascending index order
+    i <= j <= k. Each index keeps the set of its neighbours at or above it,
+    so memory grows with |A| and the edges, not with |A|^2.
     """
     if not g.symmetric:
         raise ValueError("non-symmetric graph")
     if g.left_size != len(a) or g.right_size != len(a):
         raise ValueError("dimension mismatch between graph and operand set")
-    n = len(a)
-    adj = [0] * n
+    # up[i]: the neighbours j >= i of i, so k in up[i] & up[j] has i <= j <= k
+    up = [set() for _ in a.elements]
     for i, j in g.edges:
-        adj[i] |= 1 << j
+        if i <= j:
+            up[i].add(j)
     xs = a.elements
     compose = a.structure.compose
     out = set()
-    for i in range(n):
-        # walk the neighbours j >= i of i, lowest first
-        row = adj[i] & (-1 << i)
-        while row:
-            low = row & -row
-            j = low.bit_length() - 1
-            row ^= low
-            common = adj[i] & adj[j] & (-1 << j)
-            while common:
-                low = common & -common
-                k = low.bit_length() - 1
+    for i, row in enumerate(up):
+        for j in row:
+            for k in row & up[j]:
                 out.add(compose(compose(xs[i], xs[j]), xs[k]))
-                common ^= low
     return FiniteSet._unchecked(a.structure, tuple(sorted(out)))
 
 

@@ -6,12 +6,15 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import signal
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from sumsetlab import cli
+from sumsetlab import FiniteSet, Integers, cli
 from sumsetlab.cli import main
 from sumsetlab.hunts import MAX_VALUE_RANGE
 
@@ -273,6 +276,16 @@ def test_selftest_passes(capsys):
     assert out.count("PASS") >= 10
 
 
+def test_selftest_prints_its_labels_in_order(capsys):
+    assert main(["selftest"]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"PASS  {label}" for label in [
+        "compose", "sumsets", "smoothed-bound", "superadd 14/11", "superadd 1/1", "superadd-tf 4/3",
+        "submult 49/64", "projection 64/64", "restsum 16/24", "cauchy-davenport 5/5", "plunnecke 6/9",
+        "plunnecke-multi 5/6", "plunnecke-large 5/15", "lev 4/5", "tensor 16/16", "graphsum 1/27",
+        "q1 36/64", "q2 64/128", "graph-family", "hunts",
+    ]]
+
+
 def test_selftest_covers_every_verifier():
     assert {name for name, _, _ in cli._SELFTEST_CASES} == set(cli.VERIFIERS)
 
@@ -290,6 +303,35 @@ def test_selftest_fails_on_a_wrong_verifier(change, monkeypatch, capsys):
     assert main(["selftest"]) == 1
     failed = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("PASS")]
     assert len(failed) == 1 and failed[0].startswith("FAIL  tensor 16/16: ")
+
+
+def _one_element(n, target_size):
+    return FiniteSet(Integers(), (82,))
+
+
+def test_selftest_names_what_a_library_row_got(monkeypatch, capsys):
+    """A wrong library function fails its own row with a message that shows it."""
+    monkeypatch.setattr(cli, "greedy_distinct_triple_sums", _one_element)
+    assert main(["selftest"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("PASS")]
+    assert failed == ["FAIL  graph-family: got (False, Fraction(2116, 1), Fraction(216, 1), 1), "
+                      "expected (False, 2116, 216, 6)"]
+
+
+def test_selftest_fails_under_python_O():
+    """Selftest compares its rows in a way that `python -O` keeps."""
+    script = (
+        "import sys\n"
+        "from sumsetlab import FiniteSet, Integers, cli\n"
+        "cli.greedy_distinct_triple_sums = lambda n, target_size: FiniteSet(Integers(), (82,))\n"
+        "sys.exit(cli.main(['selftest']))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "FAIL  graph-family: got " in done.stdout
+    assert done.stdout.count("PASS") == 19
 
 
 # Pinned instance digests, one instance per inequality: reports are keyed by

@@ -406,6 +406,22 @@ def test_graph_triple_matches_bruteforce(rng):
         assert graph_triple_sumset(a, g) == FiniteSet(z, tuple(expected))
 
 
+def test_graph_triple_memory_grows_with_the_edges():
+    """A sparse graph on many elements: 20,000 elements, 10,000 edge pairs."""
+    n = 20_000
+    a = FiniteSet(Integers(), tuple(range(n)))
+    g = AdditionGraph(n, n, frozenset((i, n - 1 - i) for i in range(n // 2)), symmetric=True)
+    tracemalloc.start()
+    try:
+        triple = graph_triple_sumset(a, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a matching has no triangles; n-bit adjacency masks would take about 26 MiB
+    assert len(triple) == 0
+    assert peak < 8 * 1024 * 1024
+
+
 def direct_triple_sums(a, g):
     """Fold x_i x_j x_k over every i <= j <= k whose three pairs are edges."""
     compose = a.structure.compose
@@ -434,7 +450,7 @@ def random_symmetric_graph(rng, n, density, loops):
 )
 def test_graph_triple_matches_direct_enumeration(structure, density, loops, rng):
     if isinstance(structure, Integers):
-        # 80 indices: adjacency rows span more than one 64-bit word
+        # 80 indices: wider than the small pools, with rows of many neighbours
         pools = [range(-40, 41)] * 12 + [range(200)]
         sizes = [rng.randrange(1, 13) for _ in range(12)] + [80]
     else:
