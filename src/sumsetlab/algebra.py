@@ -71,6 +71,17 @@ class AmbientStructure:
         raise NotImplementedError
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _require_int(name: str, v) -> None:
+    """Refuse a size parameter that is not an int (a bool included), so no
+    float reaches an element, a size or a verdict."""
+    if not _is_int(v):
+        raise ValueError(f"{name}: expected an integer, got {v!r}")
+
+
 def _decode_int(v) -> int:
     if isinstance(v, bool):
         raise ValueError(f"expected an integer, got {v!r}")
@@ -117,6 +128,7 @@ class Lattice(AmbientStructure):
     invertible = True
 
     def __post_init__(self):
+        _require_int("dim", self.dim)
         if self.dim < 1:
             raise ValueError("lattice dimension must be >= 1")
 
@@ -152,6 +164,7 @@ class Residues(AmbientStructure):
     invertible = True
 
     def __post_init__(self):
+        _require_int("modulus", self.modulus)
         if self.modulus < 1:
             raise ValueError("modulus must be >= 1")
 
@@ -192,6 +205,7 @@ class Permutations(AmbientStructure):
     invertible = True
 
     def __post_init__(self):
+        _require_int("degree", self.degree)
         if not 1 <= self.degree <= MAX_PERMUTATION_DEGREE:
             raise ValueError(
                 f"permutation degree must be in 1..{MAX_PERMUTATION_DEGREE}"
@@ -248,6 +262,7 @@ class IntersectionSemigroup(AmbientStructure):
     universe: int
 
     def __post_init__(self):
+        _require_int("universe", self.universe)
         if not 1 <= self.universe <= MAX_INTERSECTION_UNIVERSE:
             raise ValueError(
                 f"universe size must be in 1..{MAX_INTERSECTION_UNIVERSE}"
@@ -296,6 +311,7 @@ class DirectPower(AmbientStructure):
     power: int
 
     def __post_init__(self):
+        _require_int("power", self.power)
         if self.power < 1:
             raise ValueError("direct power must be >= 1")
 

@@ -43,6 +43,7 @@ from .algebra import (
     AmbientStructure,
     DirectPower,
     Integers,
+    _is_int,
     structure_from_json,
     structure_to_json,
 )
@@ -55,10 +56,6 @@ MAX_CARRIER = math.factorial(MAX_PERMUTATION_DEGREE)  # the largest Q1 carrier: 
 # The largest random-mode draw table, in entries: enough for sets of up to 25
 # elements of Sym(8), and of up to 9 at MAX_VALUE_RANGE.
 MAX_DRAW_TABLE = 2**20
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _carrier_size(structure: AmbientStructure) -> int | None:
@@ -276,7 +273,7 @@ def _subsets_in_canonical_order(carrier: Sequence, cap: int, limit: int):
     for _ in range(limit):
         if mask >> n:
             return
-        yield [carrier[j] for j in range(n) if mask >> j & 1]
+        yield [carrier[j] for j in range(mask.bit_length()) if mask >> j & 1]
         mask += 1
         while mask.bit_count() > cap:
             mask += mask & -mask

@@ -627,11 +627,16 @@ def _first_valid_subset(structure, a: FiniteSet, target: FiniteSet, valid):
     return None, None
 
 
-def _mask_to_set(a: FiniteSet, mask: int) -> FiniteSet:
-    """The subset of A a mask selects: an ascending subsequence of A."""
+def _smallest_valid_subset(a: FiniteSet, target: FiniteSet, valid):
+    """(X, |X|, |X + target|) for the X inside A at the smallest valid
+    bitmask of _first_valid_subset; X is an ascending subsequence of A. No
+    valid X raises TheoremViolationError: the growth bounds are theorems."""
+    mask, cnt = _first_valid_subset(a.structure, a, target, valid)
+    if mask is None:
+        raise TheoremViolationError("THEOREM VIOLATION: no subset satisfies the growth bound")
     xs = a.elements
-    chosen = [xs[j] for j in range(len(xs)) if mask >> j & 1]
-    return FiniteSet._unchecked(a.structure, tuple(chosen))
+    x = tuple([xs[j] for j in range(mask.bit_length()) if mask >> j & 1])
+    return FiniteSet._unchecked(a.structure, x), len(x), cnt
 
 
 def find_plunnecke_subset(a: FiniteSet, b: FiniteSet, i: int, k: int) -> PlunneckeWitness:
@@ -653,19 +658,10 @@ def find_plunnecke_subset(a: FiniteSet, b: FiniteSet, i: int, k: int) -> Plunnec
     lhs_scale = m**k
     rhs_scale = aib**k
 
-    mask, cnt = _first_valid_subset(
-        structure, a, kb, lambda c, xs: c**i * lhs_scale <= rhs_scale * xs**i
+    x, xs, cnt = _smallest_valid_subset(
+        a, kb, lambda c, xs: c**i * lhs_scale <= rhs_scale * xs**i
     )
-    if mask is None:
-        raise TheoremViolationError(
-            "THEOREM VIOLATION: no subset satisfies the growth bound"
-        )
-    xs = mask.bit_count()
-    return PlunneckeWitness(
-        x_set=_mask_to_set(a, mask),
-        bound=Fraction(rhs_scale * xs**i, lhs_scale),
-        achieved=Fraction(cnt**i),
-    )
+    return PlunneckeWitness(x, Fraction(rhs_scale * xs**i, lhs_scale), Fraction(cnt**i))
 
 
 def find_plunnecke_subset_multi(a: FiniteSet, bs: list[FiniteSet]) -> PlunneckeWitness:
@@ -685,25 +681,16 @@ def find_plunnecke_subset_multi(a: FiniteSet, bs: list[FiniteSet]) -> PlunneckeW
     total = sumset(structure, list(bs))
     scale = m**h
 
-    mask, cnt = _first_valid_subset(
-        structure, a, total, lambda c, xs: c * scale <= s * xs
-    )
-    if mask is None:
-        raise TheoremViolationError(
-            "THEOREM VIOLATION: no subset satisfies the growth bound"
-        )
-    return PlunneckeWitness(
-        x_set=_mask_to_set(a, mask),
-        bound=Fraction(s * mask.bit_count(), scale),
-        achieved=Fraction(cnt),
-    )
+    x, xs, cnt = _smallest_valid_subset(a, total, lambda c, xs: c * scale <= s * xs)
+    return PlunneckeWitness(x, Fraction(s * xs, scale), Fraction(cnt))
 
 
 def construct_large_subset(a: FiniteSet, bs: list[FiniteSet], k: int) -> PlunneckeWitness:
     """Grow a witness X with |X| >= k by repeatedly extending from A minus X.
 
-    Starts from the nonempty witness and, while |X| < k, reruns the search on
-    what is left of A, unioning in each new witness. The final X satisfies
+    Starts from an empty X and, while |X| < k, runs the search on what is
+    left of A (all of A on the first pass), unioning in each new witness. The
+    final X satisfies
 
         |X+B| <= s/m^h + s/(m-1)^h + ... + s/(m-k+1)^h + (|X|-k) s/(m-k+1)^h
 
@@ -720,9 +707,9 @@ def construct_large_subset(a: FiniteSet, bs: list[FiniteSet], k: int) -> Plunnec
     for b in bs:
         s *= len(sumset(structure, [a, b]))
 
-    x = set(find_plunnecke_subset_multi(a, bs).x_set)
+    x = set()
     while len(x) < k:
-        rest = FiniteSet._unchecked(structure, tuple(sorted(set(a) - x)))
+        rest = FiniteSet._unchecked(structure, tuple([v for v in a.elements if v not in x]))
         x |= set(find_plunnecke_subset_multi(rest, bs).x_set)
 
     x_set = FiniteSet._unchecked(structure, tuple(sorted(x)))

@@ -27,6 +27,8 @@ from .algebra import (
     Integers,
     StructureMismatchError,
     _decode_int,
+    _is_int,
+    _require_int,
     structure_from_json,
     structure_to_json,
 )
@@ -103,16 +105,20 @@ class AdditionGraph:
     loops_allowed: bool = True
 
     def __post_init__(self):
-        edges = {(int(i), int(j)) for i, j in self.edges}
-        if self.symmetric:
-            if self.left_size != self.right_size:
-                raise ValueError("symmetric graph requires equal side sizes")
-            edges |= {(j, i) for i, j in edges}
+        for name in ("left_size", "right_size"):
+            _require_int(name, getattr(self, name))
+        if self.symmetric and self.left_size != self.right_size:
+            raise ValueError("symmetric graph requires equal side sizes")
+        edges = set(self.edges)
         for i, j in edges:
+            if not (_is_int(i) and _is_int(j)):
+                raise ValueError(f"edge {(i, j)!r}: expected integer indices")
             if not (0 <= i < self.left_size and 0 <= j < self.right_size):
                 raise ValueError(f"edge ({i},{j}) out of range")
             if i == j and not self.loops_allowed:
                 raise ValueError(f"loop edge ({i},{i}) but loops are disallowed")
+        if self.symmetric:
+            edges |= {(j, i) for i, j in edges}
         object.__setattr__(self, "edges", frozenset(edges))
 
     @classmethod

@@ -151,6 +151,25 @@ def test_structure_validation_bounds():
         DirectPower(Integers(), 0)
 
 
+@pytest.mark.parametrize("value", [7.0, 2.5, True, "3"])
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (Lattice, "dim"),
+        (Residues, "modulus"),
+        (Permutations, "degree"),
+        (IntersectionSemigroup, "universe"),
+        (lambda v: DirectPower(Residues(5), v), "power"),
+    ],
+    ids=["Lattice", "Residues", "Permutations", "IntersectionSemigroup", "DirectPower"],
+)
+def test_structure_parameters_must_be_integers(make, name, value):
+    """A float or bool parameter would reach elements (Residues(7.0) sums to
+    1.0) and sizes (a power of 2.5); it is refused by name."""
+    with pytest.raises(ValueError, match=f"^{name}: expected an integer, got {value!r}$"):
+        make(value)
+
+
 def test_structure_json_roundtrip():
     structures = [
         Integers(),

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+import signal
 import time
 import tracemalloc
 
@@ -24,6 +25,7 @@ from sumsetlab import (
     run_hunt,
     sumset,
 )
+from sumsetlab.cli import main
 
 from conftest import int_set, random_int_set, random_subset
 
@@ -556,7 +558,54 @@ def test_resume_refuses_a_malformed_checkpoint(tmp_path, body, message):
     assert log.read_text() == "{}\n" * 5
 
 
-def test_min_slack_identifies_closest_call(tmp_path):
+def test_exhaustive_q2_at_the_largest_value_range_is_quick():
+    """An exhaustive subset is decoded over its mask's bits, not over the
+    whole carrier: at MAX_VALUE_RANGE, 1,000 instances take well under 5 s
+    (decoding each mask over range(10^5 + 1) took about 19 s)."""
+    config = HuntConfig(question="Q2", structure=Integers(), k=3, size_caps=2, mode="exhaustive",
+                        value_range=hunts.MAX_VALUE_RANGE, instance_budget=1000)
+
+    def hung(signum, frame):
+        pytest.fail("an exhaustive Q2 hunt at MAX_VALUE_RANGE ran past 5 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        summary = run_hunt(config)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert summary.instances_run == 1000 and summary.violations == []
+
+
+def test_a_violation_is_logged_counted_and_exits_2(tmp_path, capsys, monkeypatch):
+    """A record with lhs > rhs is a finding: it is logged with
+    "violation":true, counted in the summary, sets a negative min_slack, and
+    the hunt command exits 2."""
+    evaluate = hunts.eval_question2
+
+    def one_violation(*args, instance_index):
+        record = evaluate(*args, instance_index=instance_index)
+        if instance_index != 3:
+            return record
+        lhs = record.rhs + 1
+        return hunts.HuntRecord(record.instance, lhs, record.rhs, record.rhs - lhs, lhs > record.rhs, instance_index)
+
+    monkeypatch.setattr(hunts, "eval_question2", one_violation)
+    config, log = tmp_path / "hunt.json", tmp_path / "hunt.jsonl"
+    config.write_text(json.dumps({"question": "Q2", "structure": "Z", "k": 3, "size_caps": 3,
+                                  "value_range": 12, "seed": 7, "instance_budget": 10}))
+    code = main(["hunt", "--instance", str(config), "--log", str(log)])
+    summary = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert summary["instances_run"] == 10 and summary["violation_count"] == 1
+    assert summary["min_slack"] == "-1" and summary["min_slack_instance"]["instance_index"] == 3
+    assert [v["instance_index"] for v in summary["violations"]] == [3]
+    flagged = [i for i, line in enumerate(log.read_text().splitlines()) if '"violation":true' in line]
+    assert flagged == [3]
+
+
+
     config = HuntConfig(
         question="Q1",
         structure=Permutations(3),

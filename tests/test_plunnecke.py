@@ -15,6 +15,7 @@ from sumsetlab import (
     Lattice,
     Permutations,
     Residues,
+    TheoremViolationError,
     construct_large_subset,
     find_plunnecke_subset,
     find_plunnecke_subset_multi,
@@ -23,6 +24,7 @@ from sumsetlab import (
     sumset,
     verify_lev_monotonicity,
 )
+from sumsetlab import inequalities
 from sumsetlab.inequalities import SUBSET_SEARCH_CAP, _first_valid_subset
 
 from conftest import brute_sumset, int_set, random_int_set
@@ -296,6 +298,38 @@ def test_large_subset_reaches_requested_size(rng):
 def test_large_subset_errors():
     with pytest.raises(ValueError, match="1 <= k <= "):
         construct_large_subset(int_set(0, 1), [int_set(0)], 3)
+
+
+def test_grown_subset_self_check_catches_a_wrong_sum(monkeypatch):
+    """construct_large_subset rechecks |X + B| against its bound; a sumset
+    that inflates that one sum makes it raise TheoremViolationError."""
+    a, bs = int_set(0, 1), [int_set(0, 1), int_set(0, 2)]
+    total = sumset(Integers(), bs)
+    honest = inequalities.sumset
+
+    def inflated(structure, sets):
+        out = honest(structure, sets)
+        if sets[-1] != total:
+            return out
+        return FiniteSet(structure, out.elements + tuple(range(100, 120)))
+
+    monkeypatch.setattr(inequalities, "sumset", inflated)
+    with pytest.raises(TheoremViolationError, match="grown subset exceeds its growth bound"):
+        construct_large_subset(a, bs, 2)
+
+
+def test_searches_raise_when_no_subset_is_valid(monkeypatch):
+    """Both searches, and the grown subset through them, raise the one
+    growth-bound violation when the scan finds no valid mask."""
+    monkeypatch.setattr(inequalities, "_first_valid_subset", lambda *args: (None, None))
+    a, bs = int_set(0, 1), [int_set(0, 1), int_set(0, 2)]
+    for search in (
+        lambda: find_plunnecke_subset(a, bs[0], 1, 2),
+        lambda: find_plunnecke_subset_multi(a, bs),
+        lambda: construct_large_subset(a, bs, 2),
+    ):
+        with pytest.raises(TheoremViolationError, match="^THEOREM VIOLATION: no subset satisfies the growth bound$"):
+            search()
 
 
 def test_growth_searches_reject_semigroups():

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -471,6 +472,23 @@ def test_addition_graph_validation():
         AdditionGraph(2, 3, frozenset(), symmetric=True)
     g = AdditionGraph(3, 3, frozenset({(0, 1)}), symmetric=True)
     assert (1, 0) in g.edges  # symmetric closure
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, named",
+    [
+        ((2, 2, frozenset({(0.9, 1.7)})), {}, "edge (0.9, 1.7)"),
+        ((2, 2, frozenset({(True, "1")})), {}, "edge (True, '1')"),
+        ((2, 2, frozenset({(0, 1.0)})), {"symmetric": True}, "edge (0, 1.0)"),
+        ((2.0, 2, frozenset()), {}, "left_size"),
+        ((2, True, frozenset()), {}, "right_size"),
+    ],
+    ids=["float-edge", "bool-str-edge", "symmetric-float-edge", "float-size", "bool-size"],
+)
+def test_addition_graph_refuses_non_integer_sizes_and_indices(args, kwargs, named):
+    """Indices are not coerced: (0.9, 1.7) would become the edge (0, 1)."""
+    with pytest.raises(ValueError, match=re.escape(named)):
+        AdditionGraph(*args, **kwargs)
 
 
 def test_direct_power_examples():

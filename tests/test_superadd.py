@@ -87,6 +87,53 @@ def test_errors():
         verify_superadditivity([FiniteSet(Lattice(2), ((0, 0),))] * 2)
 
 
+def _last_sum_with(extra):
+    """A leave_one_out that appends `extra` to the k-th sum only, the one
+    whose marks are the elements up to a_1 + ... + a_(k-1)."""
+    honest = inequalities.leave_one_out
+
+    def wrong(structure, sets, i):
+        out = honest(structure, sets, i)
+        if i < len(sets):
+            return out
+        return FiniteSet._unchecked(structure, out.elements + (extra(out),))
+
+    return wrong
+
+
+def _full_sum_missing_its_max():
+    """A sumset whose first call, the full sum S, drops its largest element;
+    the endpoint-replaced sums that make S' still reach it."""
+    honest, calls = inequalities.sumset, []
+
+    def wrong(structure, sets):
+        out = honest(structure, sets)
+        calls.append(out)
+        return out if len(calls) > 1 else FiniteSet._unchecked(structure, out.elements[:-1])
+
+    return wrong
+
+
+@pytest.mark.parametrize(
+    "name, wrong, message",
+    [
+        # a sum above every split point: counted in the bound, never marked
+        ("leave_one_out", lambda: _last_sum_with(lambda out: out.max() + 100), "marked 11 elements, expected 12"),
+        ("sumset", _full_sum_missing_its_max, "S' is not contained in S"),
+        # a repeated sum: counted twice and marked twice in one copy
+        ("leave_one_out", lambda: _last_sum_with(lambda out: out.min()), "bad marked copy"),
+    ],
+    ids=["mark-count", "s-prime-inside-s", "marked-copy"],
+)
+def test_witness_self_checks_catch_a_wrong_sum(monkeypatch, name, wrong, message):
+    """Each witness invariant that verify_superadditivity rechecks raises
+    TheoremViolationError, which python -O keeps, when the sums it reads are
+    wrong."""
+    monkeypatch.setattr(inequalities, name, wrong())
+    with pytest.raises(TheoremViolationError, match=message):
+        verify_superadditivity([int_set(0, 2), int_set(0, 1), int_set(0, 3)])
+
+
 def _check_witness(sets, report, witness):
     z = Integers()
     tsets = [FiniteSet(z, tuple(x - s.min() for x in s)) for s in sets]
