@@ -605,7 +605,7 @@ def test_a_violation_is_logged_counted_and_exits_2(tmp_path, capsys, monkeypatch
     assert flagged == [3]
 
 
-
+def test_min_slack_identifies_closest_call(tmp_path):
     config = HuntConfig(
         question="Q1",
         structure=Permutations(3),
