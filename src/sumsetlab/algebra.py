@@ -87,8 +87,9 @@ def _decode_int(v) -> int:
         raise ValueError(f"expected an integer, got {v!r}")
     if isinstance(v, int):
         return v
-    if isinstance(v, str):
-        return int(v, 10)
+    # only what _encode_int writes: an optional "-" and ASCII digits
+    if isinstance(v, str) and (digits := v.removeprefix("-")).isascii() and digits.isdigit():
+        return int(v)
     raise ValueError(f"expected an integer or decimal string, got {v!r}")
 
 

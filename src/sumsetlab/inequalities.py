@@ -231,7 +231,7 @@ def verify_superadditivity(sets: list[FiniteSet]):
 
     big = sumset(structure, tsets)
     sis = [leave_one_out(structure, tsets, i) for i in range(1, k + 1)]
-    tendpoints = [FiniteSet._unchecked(structure, (0, ai) if ai else (0,)) for ai in a]
+    tendpoints = endpoint_sets(tsets)
     sprime_parts = [
         sumset(structure, tsets[:j] + [tendpoints[j]] + tsets[j + 1 :])
         for j in range(k)
@@ -268,8 +268,6 @@ def verify_superadditivity(sets: list[FiniteSet]):
     for copy in marked:
         if len(set(copy)) != len(copy) or not set(copy) <= sprime_elems:
             raise TheoremViolationError("THEOREM VIOLATION: bad marked copy")
-    if (k - 1) * len(sprime) < rhs:
-        raise TheoremViolationError("THEOREM VIOLATION: (k-1)|S'| below the mark count")
 
     digest = _instance_digest(structure, originals)
     report = _report("superadd", (k - 1) * len(big), rhs, ">=", digest)
@@ -295,9 +293,7 @@ def torsion_free_reduce(sets: list[FiniteSet]):
     k = len(sets)
     zint = Integers()
     m = 1 + 2 * k * max(abs(c) for s in sets for z in s for c in z)
-
-    def phi(z):
-        return sum(c * m ** (j + 1) for j, c in enumerate(z))
+    powers = [m ** (j + 1) for j in range(structure.dim)]
 
     relevant = set(sumset(structure, sets))
     for s in sets:
@@ -305,14 +301,15 @@ def torsion_free_reduce(sets: list[FiniteSet]):
     if k >= 2:
         for i in range(1, k + 1):
             relevant.update(leave_one_out(structure, sets, i))
-    if len(set(map(phi, relevant))) != len(relevant):
+    phi = {z: sum(c * p for c, p in zip(z, powers)) for z in relevant}
+    if len(set(phi.values())) != len(phi):
         raise TheoremViolationError(
             f"THEOREM VIOLATION: z -> m z_1 + ... + m^d z_d with m = {m} is not injective"
         )
 
-    images = [FiniteSet._unchecked(zint, tuple(sorted(map(phi, s)))) for s in sets]
+    images = [FiniteSet._unchecked(zint, tuple(sorted([phi[z] for z in s]))) for s in sets]
     preimages = [
-        FiniteSet._unchecked(structure, tuple(z for z in s if phi(z) in (img.min(), img.max())))
+        FiniteSet._unchecked(structure, tuple([z for z in s if phi[z] in (img.min(), img.max())]))
         for s, img in zip(sets, images)
     ]
     return m, images, preimages
@@ -653,8 +650,9 @@ def find_plunnecke_subset(a: FiniteSet, b: FiniteSet, i: int, k: int) -> Plunnec
     if not isinstance(structure, Integers):
         raise ValueError("expected integer sets")
     m = len(a)
-    aib = len(sumset(structure, [a, iterated_sum(structure, b, i)]))
+    # kB first: its MAX_SUMMANDS refusal covers i < k before [b] * i is built
     kb = iterated_sum(structure, b, k)
+    aib = len(sumset(structure, [a] + [b] * i))
     lhs_scale = m**k
     rhs_scale = aib**k
 
@@ -664,6 +662,17 @@ def find_plunnecke_subset(a: FiniteSet, b: FiniteSet, i: int, k: int) -> Plunnec
     return PlunneckeWitness(x, Fraction(rhs_scale * xs**i, lhs_scale), Fraction(cnt**i))
 
 
+def _multi_search(a: FiniteSet, bs: list[FiniteSet], total: FiniteSet):
+    """(witness, s) for find_plunnecke_subset_multi on A, given
+    total = B_1 + ... + B_h; s = prod |A + B_i| is folded here."""
+    s = 1
+    for b in bs:
+        s *= len(sumset(a.structure, [a, b]))
+    scale = len(a) ** len(bs)
+    x, xs, cnt = _smallest_valid_subset(a, total, lambda c, xs: c * scale <= s * xs)
+    return PlunneckeWitness(x, Fraction(s * xs, scale), Fraction(cnt)), s
+
+
 def find_plunnecke_subset_multi(a: FiniteSet, bs: list[FiniteSet]) -> PlunneckeWitness:
     """Find nonempty X in A with |X + B_1 + ... + B_h| m^h <= s |X|,
 
@@ -671,18 +680,8 @@ def find_plunnecke_subset_multi(a: FiniteSet, bs: list[FiniteSet]) -> PlunneckeW
     Exhaustive over subsets of A, smallest valid bitmask returned.
     """
     _require_nonempty([a] + list(bs))
-    structure = a.structure
-    _require_commutative_group(structure)
-    h = len(bs)
-    m = len(a)
-    s = 1
-    for b in bs:
-        s *= len(sumset(structure, [a, b]))
-    total = sumset(structure, list(bs))
-    scale = m**h
-
-    x, xs, cnt = _smallest_valid_subset(a, total, lambda c, xs: c * scale <= s * xs)
-    return PlunneckeWitness(x, Fraction(s * xs, scale), Fraction(cnt))
+    _require_commutative_group(a.structure)
+    return _multi_search(a, bs, sumset(a.structure, list(bs)))[0]
 
 
 def construct_large_subset(a: FiniteSet, bs: list[FiniteSet], k: int) -> PlunneckeWitness:
@@ -694,7 +693,8 @@ def construct_large_subset(a: FiniteSet, bs: list[FiniteSet], k: int) -> Plunnec
 
         |X+B| <= s/m^h + s/(m-1)^h + ... + s/(m-k+1)^h + (|X|-k) s/(m-k+1)^h
 
-    with B = B_1 + ... + B_h, verified exactly in rational arithmetic.
+    with B = B_1 + ... + B_h, folded once, verified exactly in rational
+    arithmetic.
     """
     _require_nonempty([a] + list(bs))
     if not 1 <= k <= len(a):
@@ -703,17 +703,16 @@ def construct_large_subset(a: FiniteSet, bs: list[FiniteSet], k: int) -> Plunnec
     _require_commutative_group(structure)
     h = len(bs)
     m = len(a)
-    s = 1
-    for b in bs:
-        s *= len(sumset(structure, [a, b]))
+    total = sumset(structure, list(bs))
 
-    x = set()
+    x, s = set(), None
     while len(x) < k:
         rest = FiniteSet._unchecked(structure, tuple([v for v in a.elements if v not in x]))
-        x |= set(find_plunnecke_subset_multi(rest, bs).x_set)
+        witness, rest_s = _multi_search(rest, bs, total)
+        s = s or rest_s  # s(A), from the first pass, whose rest is A
+        x |= set(witness.x_set)
 
     x_set = FiniteSet._unchecked(structure, tuple(sorted(x)))
-    total = sumset(structure, list(bs))
     achieved = len(sumset(structure, [x_set, total]))
     bound = sum(Fraction(s, (m - r) ** h) for r in range(k))
     bound += (len(x) - k) * Fraction(s, (m - k + 1) ** h)

@@ -84,10 +84,6 @@ class FiniteSet:
             return list(xs)
         return [self.structure.element_to_json(x) for x in xs]
 
-    @classmethod
-    def from_json(cls, structure, values):
-        return _set_from_json(structure, values, "")
-
 
 @dataclass(frozen=True)
 class AdditionGraph:
@@ -108,7 +104,7 @@ class AdditionGraph:
         for name in ("left_size", "right_size"):
             _require_int(name, getattr(self, name))
         if self.symmetric and self.left_size != self.right_size:
-            raise ValueError("symmetric graph requires equal side sizes")
+            raise ValueError("graph: symmetric graph requires equal side sizes")
         edges = set(self.edges)
         for i, j in edges:
             if not (_is_int(i) and _is_int(j)):

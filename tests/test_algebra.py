@@ -197,6 +197,7 @@ def test_element_json_big_integers_as_decimal_strings():
     assert z.element_to_json(-big) == str(-big)
     assert z.element_to_json(42) == 42
     assert z.element_from_json(str(big)) == big
+    assert z.element_from_json(str(-big)) == -big
     lat = Lattice(2)
     assert lat.element_to_json((big, 1)) == [str(big), 1]
     assert lat.element_from_json([str(big), 1]) == (big, 1)

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, output formats, witness printing, hunts."""
 
 import argparse
+import ast
 import copy
 import csv
 import dataclasses
@@ -334,6 +335,19 @@ def test_selftest_fails_under_python_O():
     assert done.stdout.count("PASS") == 19
 
 
+def test_no_assert_statement_in_the_package():
+    """The self-checks raise, so `python -O` keeps them: no module under
+    sumsetlab holds an `assert` statement, which -O would strip."""
+    package = os.path.dirname(cli.__file__)
+    found = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as f:
+                tree = ast.parse(f.read(), name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
 # Pinned instance digests, one instance per inequality: reports are keyed by
 # these values, so a change in how any verifier digests its instance shows here.
 DIGEST_CASES = [
@@ -465,6 +479,19 @@ MALFORMED = [
      "expected integer sets"),
     ("verify", "lev", {"structure": {"Zmod": 7}, "sets": [[0, 1]]}, "expected integer sets"),
     ("verify", "tensor", {"structure": "Z", "sets": [list(range(7)), [0, 1]]}, "at most 6 elements"),
+    # rows are appended: a row's index is part of its test id
+    ("verify", "graphsum", {"structure": "Z", "sets": [[1, 2], [1, 2, 3]], "graph": {"edges": [], "symmetric": True}},
+     "error: graph: symmetric graph requires equal side sizes"),
+    # decimal strings are only what the encoder writes: "-" and ASCII digits
+    ("verify", "superadd", {"structure": "Z", "sets": [["1_000"]]}, "sets[0][0]: expected an integer or decimal string"),
+    ("verify", "superadd", {"structure": "Z", "sets": [[" 7 "]]}, "sets[0][0]: expected an integer or decimal string"),
+    ("verify", "superadd", {"structure": "Z", "sets": [["+7"]]}, "sets[0][0]: expected an integer or decimal string"),
+    ("verify", "superadd", {"structure": "Z", "sets": [["\u0661\u0662"]]},
+     "sets[0][0]: expected an integer or decimal string"),
+    ("verify", "superadd", {"structure": "Z", "sets": [[0], ["x"]]}, "sets[1][0]: expected an integer or decimal string"),
+    # i past the cap too: refused through k before [b] * i is built
+    ("verify", "plunnecke", {"structure": "Z", "sets": [[0, 1], [0, 1]], "i": 2**70, "k": 2**70 + 1},
+     "k must be at most 64"),
 ]
 
 

@@ -24,7 +24,7 @@ from sumsetlab import (
     sumset,
     verify_lev_monotonicity,
 )
-from sumsetlab import inequalities
+from sumsetlab import inequalities, sumsets
 from sumsetlab.inequalities import SUBSET_SEARCH_CAP, _first_valid_subset
 
 from conftest import brute_sumset, int_set, random_int_set
@@ -298,6 +298,36 @@ def test_large_subset_reaches_requested_size(rng):
 def test_large_subset_errors():
     with pytest.raises(ValueError, match="1 <= k <= "):
         construct_large_subset(int_set(0, 1), [int_set(0)], 3)
+
+
+def _count_sumsets(monkeypatch):
+    """The summand count of every sumset call, from inequalities and from
+    the iterated sums it asks sumsets for."""
+    calls, honest = [], sumsets.sumset
+
+    def counted(structure, sets):
+        calls.append(len(sets))
+        return honest(structure, sets)
+
+    for module in (inequalities, sumsets):
+        monkeypatch.setattr(module, "sumset", counted)
+    return calls
+
+
+def test_growth_searches_fold_each_sum_once(monkeypatch):
+    """B_1 + ... + B_h is folded once for every growth pass and the final
+    check, and |A + iB| in one fold of A and i copies of B."""
+    a, b = int_set(*range(0, 40, 3)), int_set(0, 1, 5)
+    calls = _count_sumsets(monkeypatch)
+    w = construct_large_subset(a, [b, int_set(0, 2)], 14)
+    assert len(w.x_set) >= 14 and w.achieved <= w.bound
+    assert len(calls) <= 30  # 46 when every pass folded the B total again
+
+    for i, folds in ((1, [3, 2]), (2, [3, 3])):
+        calls.clear()
+        w = find_plunnecke_subset(a, b, i, 3)
+        assert w.achieved <= w.bound
+        assert calls == folds  # 3B, then A + iB in one fold
 
 
 def test_grown_subset_self_check_catches_a_wrong_sum(monkeypatch):
