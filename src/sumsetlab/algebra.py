@@ -380,18 +380,21 @@ def canonical_order(structure: AmbientStructure, xs) -> list:
 #   "Z" | {"Zd": d} | {"Zmod": n} | {"Sym": degree} | {"Intersect": u}
 #       | {"Power": {"base": <structure>, "k": k}}
 
+# tag -> (class, parameter) for the structures with one integer parameter
+_TAGGED_STRUCTURES = {
+    "Zd": (Lattice, "dim"),
+    "Zmod": (Residues, "modulus"),
+    "Sym": (Permutations, "degree"),
+    "Intersect": (IntersectionSemigroup, "universe"),
+}
+
 
 def structure_to_json(structure: AmbientStructure):
     if isinstance(structure, Integers):
         return "Z"
-    if isinstance(structure, Lattice):
-        return {"Zd": structure.dim}
-    if isinstance(structure, Residues):
-        return {"Zmod": structure.modulus}
-    if isinstance(structure, Permutations):
-        return {"Sym": structure.degree}
-    if isinstance(structure, IntersectionSemigroup):
-        return {"Intersect": structure.universe}
+    for tag, (cls, param) in _TAGGED_STRUCTURES.items():
+        if isinstance(structure, cls):
+            return {tag: getattr(structure, param)}
     if isinstance(structure, DirectPower):
         return {"Power": {"base": structure_to_json(structure.base), "k": structure.power}}
     raise ValueError(f"unknown structure {structure!r}")
@@ -411,14 +414,8 @@ def _structure_from_json(obj) -> AmbientStructure:
         return Integers()
     if isinstance(obj, dict) and len(obj) == 1:
         (tag, arg), = obj.items()
-        if tag == "Zd":
-            return Lattice(_decode_int(arg))
-        if tag == "Zmod":
-            return Residues(_decode_int(arg))
-        if tag == "Sym":
-            return Permutations(_decode_int(arg))
-        if tag == "Intersect":
-            return IntersectionSemigroup(_decode_int(arg))
+        if tag in _TAGGED_STRUCTURES:
+            return _TAGGED_STRUCTURES[tag][0](_decode_int(arg))
         if tag == "Power":
             if not isinstance(arg, dict) or not {"base", "k"} <= arg.keys():
                 raise ValueError(f"Power structure needs an object with 'base' and 'k', got {arg!r}")

