@@ -426,7 +426,8 @@ def _stream_config(config: HuntConfig) -> dict:
 def _read_checkpoint(config: HuntConfig) -> int:
     """The checkpoint's next_index, 0 when there is no checkpoint file. A
     checkpoint written for another instance stream raises ValueError naming
-    the fields that differ."""
+    the fields that differ, and one past the config's instance_budget raises
+    ValueError, since a single run would log fewer records than it holds."""
     path = config.checkpoint_path
     try:
         with open(path) as fh:
@@ -445,6 +446,10 @@ def _read_checkpoint(config: HuntConfig) -> int:
     if changed:
         raise ValueError(
             f"{path}: the checkpoint was written for a config that differs in {', '.join(changed)}"
+        )
+    if next_index > config.instance_budget:
+        raise ValueError(
+            f"{path}: the checkpoint's {next_index} records exceed instance_budget {config.instance_budget}"
         )
     return next_index
 
@@ -465,8 +470,9 @@ def run_hunt(config: HuntConfig) -> HuntSummary:
     checkpoint's record count, the instance stream is replayed up to the
     recorded index, and the log is appended to. A resume raises ValueError
     when the checkpoint was written for another config (any field but the
-    budget and the paths) or the log holds fewer records than it. A draw
-    table past MAX_DRAW_TABLE raises ValueError before any file is touched.
+    budget and the paths), holds more records than instance_budget, or the
+    log holds fewer records than it. A draw table past MAX_DRAW_TABLE raises
+    ValueError before any file is touched.
     """
     instances = _instances(config)
     start_index = _read_checkpoint(config) if config.checkpoint_path else 0

@@ -373,6 +373,28 @@ def test_the_package_imports_the_standard_library_only():
     assert found == []
 
 
+def test_no_unused_import_in_the_package():
+    """Every module-level import under sumsetlab is used: its name is
+    referenced in the module or listed in the module's __all__."""
+    found = []
+    for name, tree in _package_modules():
+        referenced = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                referenced |= set(ast.literal_eval(node.value))
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{name}:{node.lineno}: {b}" for b in bound if b not in referenced]
+    assert found == []
+
+
 # Pinned instance digests, one instance per inequality: reports are keyed by
 # these values, so a change in how any verifier digests its instance shows here.
 DIGEST_CASES = [
@@ -523,6 +545,13 @@ MALFORMED = [
     ("verify", "superadd", '{"structure": "Z", "sets": ' + "[" * 100_000 + "]" * 100_000 + "}", "JSON nested too deeply"),
     ("hunt", None, '{"question": "Q2", "structure": "Z", "k": ' + "[" * 100_000 + "]" * 100_000 + "}",
      "JSON nested too deeply"),
+    ("verify", "q2", {"structure": {"Zmod": 7}, "sets": [[0, 1], [0, 1], [0, 1], [0, 1], [0, 3]]},
+     "Question 2 runs over the integers"),
+    ("verify", "superadd", {"structure": {"Power": {"base": "Z", "k": 2}}, "sets": [[[0, 1, 2]]]},
+     "sets[0][0]: expected a 2-tuple"),
+    ("verify", "submult", {"structure": {"Power": {"base": {"Sym": 3}, "k": 2}},
+                           "sets": [[[[1, 2, 3], [1, 2, 3]]], [[[1, 2, 3], [1, 2, 3]]]]},
+     "(Sym(3))^2 is not commutative"),
 ]
 
 

@@ -502,6 +502,28 @@ def test_resume_refuses_a_deleted_log(tmp_path):
     assert not log.exists() and ckpt.read_text() == body
 
 
+def test_resume_refuses_a_budget_below_the_checkpoint(tmp_path):
+    """A single run at budget 50 writes 50 records, so a checkpoint at 100
+    cannot be resumed at 50; the log and the checkpoint stay as they were."""
+    log, ckpt = tmp_path / "log.jsonl", tmp_path / "ckpt.json"
+    config = HuntConfig(
+        question="Q2",
+        structure=Integers(),
+        k=3,
+        value_range=15,
+        instance_budget=100,
+        log_path=str(log),
+        checkpoint_path=str(ckpt),
+    )
+    run_hunt(config)
+    written, body = log.read_bytes(), ckpt.read_text()
+    with pytest.raises(ValueError, match="100 records exceed instance_budget 50$"):
+        run_hunt(dataclasses.replace(config, instance_budget=50))
+    assert log.read_bytes() == written and ckpt.read_text() == body
+    assert run_hunt(dataclasses.replace(config, instance_budget=100)).instances_run == 0
+    assert log.read_bytes() == written
+
+
 @pytest.mark.parametrize(
     "changes,named",
     [

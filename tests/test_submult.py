@@ -6,6 +6,7 @@ import random
 import pytest
 
 from sumsetlab import (
+    AmbientStructure,
     DirectPower,
     FiniteSet,
     Integers,
@@ -13,6 +14,7 @@ from sumsetlab import (
     Lattice,
     Permutations,
     Residues,
+    TheoremViolationError,
     leave_one_out,
     lex_min_decomposition,
     sumset,
@@ -61,6 +63,29 @@ def test_lex_decomposition_rejects_noncommutative_and_bad_input():
         lex_min_decomposition(z, [int_set(0, 1)])
     with pytest.raises(ValueError, match="nonempty"):
         lex_min_decomposition(z, [int_set(0, 1), FiniteSet(z, ())])
+
+
+class _ShiftedProductMod7(AmbientStructure):
+    """x * y = (xy + 1) mod 7: commutative but not associative, so the
+    right-to-left table and the left-to-right projection sums disagree."""
+
+    is_commutative = True
+
+    def compose(self, x, y):
+        return (x * y + 1) % 7
+
+    def validate(self, x):
+        if x not in range(7):
+            raise ValueError(f"{x!r} is not in 0..6")
+
+
+def test_lex_decomposition_projection_check_fires_on_a_nonassociative_law():
+    law = _ShiftedProductMod7()
+    sets = [FiniteSet(law, (0, 1))] * 3
+    # b_set is (1,1,1), (2,1,1), (2,2,2); deleting coordinate 2 leaves
+    # (1,1) and (2,1), whose left-to-right sums are both 1
+    with pytest.raises(TheoremViolationError, match="projected tuples share an element sum"):
+        lex_min_decomposition(law, sets)
 
 
 def _random_sets(rng, structure, k, max_size):

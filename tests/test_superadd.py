@@ -237,14 +237,36 @@ def test_reduce_certificate_failure_raises(monkeypatch):
     # (-4, 1) and (1, 0) both map to 5 at m = 5
     lat = Lattice(2)
     sets = [FiniteSet(lat, ((0, 0), (1, 0))), FiniteSet(lat, ((0, 0), (0, 1)))]
-    honest = inequalities.leave_one_out
+    honest = inequalities.sumset
 
-    def leave_one_out_with_collision(structure, sets, i):
-        return FiniteSet(structure, honest(structure, sets, i).elements + ((-4, 1),))
+    def sumset_with_collision(structure, sets):
+        return FiniteSet(structure, honest(structure, sets).elements + ((-4, 1),))
 
-    monkeypatch.setattr(inequalities, "leave_one_out", leave_one_out_with_collision)
+    monkeypatch.setattr(inequalities, "sumset", sumset_with_collision)
     with pytest.raises(TheoremViolationError, match="not injective"):
         torsion_free_reduce(sets)
+
+
+def test_reduce_folds_only_the_full_sum(monkeypatch):
+    """Injectivity is certified on S alone: the summands and the
+    leave-one-out sums are translates of parts of S, so none is folded."""
+    calls = {"sumset": 0, "leave_one_out": 0}
+    for name in calls:
+        honest = getattr(inequalities, name)
+
+        def counted(*args, name=name, honest=honest):
+            calls[name] += 1
+            return honest(*args)
+
+        monkeypatch.setattr(inequalities, name, counted)
+    lat = Lattice(2)
+    sets = [
+        FiniteSet(lat, ((0, 0), (2, -1))),
+        FiniteSet(lat, ((1, 1), (-3, 0), (0, 2))),
+        FiniteSet(lat, ((0, 0), (1, 0))),
+    ]
+    torsion_free_reduce(sets)
+    assert calls == {"sumset": 1, "leave_one_out": 0}
 
 
 def test_reduce_singletons_any_multiplier():
