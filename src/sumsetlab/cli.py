@@ -326,7 +326,10 @@ _SELFTEST_ROWS = [
         leave_one_out(z, triple, 1).elements,
         len(iterated_sum(z, a := FiniteSet(z, (0, 1, 3)), 2)),
         len(iterated_sum(z, a, 3)),
-    ), ((0, 1, 2, 3, 4, 5, 6), (0, 1, 3, 4), 6, 9)),
+        # a count before its decode, from a bitmask sum and a hash-fold sum
+        (len(dense := sumset(z, triple)), len(dense.elements)),
+        (len(wide := sumset(z, [FiniteSet(z, (0, 10)), FiniteSet(z, (0, 100))])), len(wide.elements)),
+    ), ((0, 1, 2, 3, 4, 5, 6), (0, 1, 3, 4), 6, 9, (7, 7), (4, 4))),
     ("smoothed-bound", lambda: smoothed_growth_bound(2, 12, 2, 0, 2), Fraction(24, 4)),
     *(
         (f"{name} {lhs}/{rhs}", functools.partial(_check_case, name, obj), (lhs, rhs, True))

@@ -19,11 +19,13 @@ only: a draw makes one randrange call and unranks its result by bisecting
 Pascal columns, one bisection per element. Each random-mode hunt builds its
 own table of those columns before its first draw, with a row for every size
 a drawn-from set can reach (the carrier and, for Q2, B_1 + ... + B_k), so its
-size is known from the config and it is freed when the hunt ends; a hunt
-whose table would pass MAX_DRAW_TABLE entries is refused. A checkpoint
-records the config that fixes the stream, and a resume under any other config
-is refused, so a resumed log is always one a single run would write. replay
-re-evaluates a logged instance and names the field of a malformed one.
+size is known from the config. Beside it the hunt keeps the subset totals
+of each (carrier length, cap) it has drawn from, and both are freed when the
+hunt ends; a hunt whose table would pass MAX_DRAW_TABLE entries is refused.
+A checkpoint records the config that fixes the stream, and a resume under
+any other config is refused, so a resumed log is always one a single run
+would write. replay re-evaluates a logged instance and names the field of a
+malformed one.
 """
 
 from __future__ import annotations
@@ -220,7 +222,7 @@ def eval_question2(a: FiniteSet, bs: list[FiniteSet], s: FiniteSet, instance_ind
         raise ValueError("Question 2 runs over the integers")
     _require_nonempty([a, s, *bs])
     total = sumset(structure, list(bs))
-    if not set(total.elements).issuperset(s.elements):
+    if not all(x in total for x in s):
         raise ValueError("S must be a subset of B1+...+Bk")
     lhs = len(sumset(structure, [s, a])) ** k
     rhs = len(s)
@@ -309,15 +311,21 @@ def _unrank_combination(n: int, s: int, r: int, cols: list) -> list:
     return out
 
 
-def _draw_subset(rng: random.Random, carrier: Sequence, cap: int, cols: list) -> list:
+def _draw_subset(rng: random.Random, carrier: Sequence, cap: int, cols: list, totals: dict) -> list:
     """A uniform draw among the nonempty subsets of the carrier with at most
     cap elements; cols is the hunt's table, _columns(N, c) with N >= the
     carrier's length n and c >= min(cap, n). Uses only randrange, for
     cross-version stability: one call picks the rank among all sizes, and
-    _unrank_combination bisects Pascal columns to turn it into a subset."""
+    _unrank_combination bisects Pascal columns to turn it into a subset.
+    totals maps (n, cap) to the subset counts by size and their sum; the
+    hunt keeps it with cols, so draws of one shape count them once."""
     n = len(carrier)
-    counts = [col[n] for col in cols[1 : min(cap, n) + 1]]
-    r = rng.randrange(sum(counts))
+    shape = totals.get((n, cap))
+    if shape is None:
+        counts = [col[n] for col in cols[1 : min(cap, n) + 1]]
+        shape = totals[n, cap] = counts, sum(counts)
+    counts, total = shape
+    r = rng.randrange(total)
     size = 1
     for c in counts:
         if r < c:
@@ -356,9 +364,9 @@ def _instances(config: HuntConfig):
                 f"size_caps: random draws of up to {m} of {n} elements need a table of "
                 f"{(n + 1) * (m + 1)} entries, more than {MAX_DRAW_TABLE}"
             )
-        cols = _columns(n, m)
+        cols, totals = _columns(n, m), {}
         rng = random.Random(config.seed)
-        draws = ([_draw_subset(rng, carrier, cap, cols) for cap in caps] for _ in itertools.count())
+        draws = ([_draw_subset(rng, carrier, cap, cols, totals) for cap in caps] for _ in itertools.count())
 
     def stream():
         for draw in draws:
@@ -371,7 +379,7 @@ def _instances(config: HuntConfig):
             if exhaustive:
                 s_subsets = _subsets_in_canonical_order(total, cap_s, budget)
             else:
-                s_subsets = (_draw_subset(rng, total, cap_s, cols),)
+                s_subsets = (_draw_subset(rng, total, cap_s, cols, totals),)
             for s in s_subsets:
                 yield a, bs, FiniteSet._unchecked(structure, tuple(s))
 

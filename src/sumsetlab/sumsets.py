@@ -1,14 +1,20 @@
 """Finite sets over an ambient structure and their n-fold sumsets.
 
 Sumsets fold left to right through a hash/set fold. An integer sumset folds
-all summands into one offset and bitmask by shift-or, decoded once, when its
-sums are dense: the total spread sum(max - min) is at most a bound on the
-number of sums, taken once before the fold. The bound is the product over
-runs of adjacent equal summands: a run of r copies of an m-set has at most
+all summands into one offset and bitmask by shift-or when its sums are
+dense: the total spread sum(max - min) is at most a bound on the number of
+sums, taken once before the fold. The bound is the product over runs of
+adjacent equal summands: a run of r copies of an m-set has at most
 C(r + m - 1, r) sums, counted as multisets, and a lone summand contributes
-its size. The decode runs in C: the bit string, reversed and translated to
-0/1 bytes, selects the sums from a range with itertools.compress. The engine
-choice is internal; results are identical element for element.
+its size. The engine choice is internal; results are identical element for
+element.
+
+A sumset is decoded on first read. It keeps what its fold made, the offset
+and bitmask or the Python set, so len() is a popcount or the set's size and
+`x in s` probes the mask or the set. The first read of `elements` builds the
+sorted tuple and drops the fold's payload. The mask decode runs in C: the
+bit string, reversed and translated to 0/1 bytes, selects the sums from a
+range with itertools.compress.
 
 Restricted sums are driven by an AdditionGraph, an index-level edge relation
 on the operand sets. Graph indices are 0-based in memory and 1-based in the
@@ -62,6 +68,14 @@ class FiniteSet:
         object.__setattr__(fs, "structure", structure)
         object.__setattr__(fs, "elements", elements)
         return fs
+
+    def __eq__(self, other):
+        # Equal sets are equal whatever the subclass, so a sumset not yet
+        # decoded equals the FiniteSet of its elements; the sizes, which
+        # never force a decode, settle most unequal pairs.
+        if not isinstance(other, FiniteSet):
+            return NotImplemented
+        return len(self) == len(other) and self.structure == other.structure and self.elements == other.elements
 
     def __len__(self):
         return len(self.elements)
@@ -167,7 +181,7 @@ def _require_same_structure(structure, sets):
 
 
 def _require_nonempty(sets):
-    if not sets or not all([s.elements for s in sets]):
+    if not sets or not all(map(len, sets)):
         raise ValueError("nonempty sets required")
 
 
@@ -182,16 +196,11 @@ _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _integer_fold(sets) -> tuple | None:
-    """Integer sumset by one shift-or fold into an offset and bitmask, decoded
-    once; None, leaving it to the hash fold, when the spread exceeds the
-    module docstring's bound on the number of sums, so the mask would hold
-    more bits than there can be sums (as for progressions with a large
-    difference, or iterated sums of a Sidon-like set).
-
-    The decode maps bit i to the flag byte i and lets compress pick the sums
-    from range(offset, offset + bit_length). The list is built before the
-    tuple: a tuple made straight from the iterator, whose length is unknown,
-    grows by resizing and fragments the heap."""
+    """Integer sumset by one shift-or fold: (offset, bits), where bit i is
+    set when offset + i is a sum. None, leaving it to the hash fold, when the
+    spread exceeds the module docstring's bound on the number of sums, so the
+    mask would hold more bits than there can be sums (as for progressions
+    with a large difference, or iterated sums of a Sidon-like set)."""
     spread, bound, run, prev = 0, 1, 0, None
     for s in sets:
         xs = s.elements
@@ -212,12 +221,83 @@ def _integer_fold(sets) -> tuple | None:
         for x in xs:
             acc |= bits << (x - lo)
         bits = acc
-    flags = bin(bits)[:1:-1].encode().translate(_BIT_FLAGS)
-    return tuple(list(itertools.compress(range(offset, offset + len(flags)), flags)))
+    return offset, bits
+
+
+def _decode(payload) -> tuple:
+    """The sorted elements of a fold's payload: an (offset, bits) mask or a
+    set of sums.
+
+    The mask decode maps bit i to the flag byte i and lets compress pick the
+    sums from range(offset, offset + bit_length). The list is built before
+    the tuple: a tuple made straight from the iterator, whose length is
+    unknown, grows by resizing and fragments the heap."""
+    if type(payload) is tuple:
+        offset, bits = payload
+        flags = bin(bits)[:1:-1].encode().translate(_BIT_FLAGS)
+        return tuple(list(itertools.compress(range(offset, offset + len(flags)), flags)))
+    return tuple(sorted(payload))
+
+
+class _DecodedOnRead:
+    """The `elements` of a _Sumset: a non-data descriptor, so the tuple it
+    stores in the instance dict on the first read answers every later read
+    as a plain attribute, and the payload it decodes is dropped.
+
+    The tuple is stored before the payload is dropped, so a thread that
+    finds no payload finds the tuple; two threads that both decode store
+    equal tuples."""
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        attrs = obj.__dict__
+        payload = attrs.get("_payload")
+        if payload is None:
+            return attrs["elements"]
+        elements = attrs["elements"] = _decode(payload)
+        attrs.pop("_payload", None)
+        return elements
+
+
+class _Sumset(FiniteSet):
+    """A sumset that holds its fold's payload until `elements` is read.
+
+    Counting and membership read the payload while it is there; a decoded
+    _Sumset holds what a FiniteSet holds and answers as one."""
+
+    elements = _DecodedOnRead()
+
+    @classmethod
+    def _of(cls, structure, payload):
+        fs = object.__new__(cls)
+        attrs = fs.__dict__
+        attrs["structure"] = structure
+        attrs["_payload"] = payload
+        return fs
+
+    def __len__(self):
+        payload = self.__dict__.get("_payload")
+        if payload is None:
+            return len(self.elements)
+        return payload[1].bit_count() if type(payload) is tuple else len(payload)
+
+    def __contains__(self, x):
+        payload = self.__dict__.get("_payload")
+        if type(payload) is tuple:
+            if isinstance(x, int):
+                offset, bits = payload
+                return x >= offset and bits >> (x - offset) & 1 == 1
+        elif payload is not None:
+            try:
+                return x in payload
+            except TypeError:  # unhashable: a tuple compares it by equality
+                pass
+        return x in self.elements
 
 
 def sumset(structure: AmbientStructure, sets: list[FiniteSet]) -> FiniteSet:
-    """The n-fold sumset A_1 + ... + A_k.
+    """The n-fold sumset A_1 + ... + A_k, decoded on first read.
 
     For noncommutative structures the composition order is the list order
     (elements of sets[0] compose first).
@@ -225,13 +305,13 @@ def sumset(structure: AmbientStructure, sets: list[FiniteSet]) -> FiniteSet:
     _require_nonempty(sets)
     _require_same_structure(structure, sets)
     if isinstance(structure, Integers):
-        elements = _integer_fold(sets)
-        if elements is not None:
-            return FiniteSet._unchecked(structure, elements)
+        payload = _integer_fold(sets)
+        if payload is not None:
+            return _Sumset._of(structure, payload)
     acc = set(sets[0].elements)
     for nxt in sets[1:]:
         acc = _pair_sumset_generic(structure, acc, nxt.elements)
-    return FiniteSet._unchecked(structure, tuple(sorted(acc)))
+    return _Sumset._of(structure, acc)
 
 
 def leave_one_out(structure: AmbientStructure, sets: list[FiniteSet], i: int) -> FiniteSet:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from sumsetlab import FiniteSet, Integers, cli
+from sumsetlab import FiniteSet, Integers, cli, sumsets
 from sumsetlab.cli import main
 from sumsetlab.hunts import MAX_VALUE_RANGE
 
@@ -317,6 +317,15 @@ def test_selftest_names_what_a_library_row_got(monkeypatch, capsys):
     failed = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("PASS")]
     assert failed == ["FAIL  graph-family: got (False, Fraction(2116, 1), Fraction(216, 1), 1), "
                       "expected (False, 2116, 216, 6)"]
+
+
+def test_selftest_checks_the_counts_of_undecoded_sums(monkeypatch, capsys):
+    """A sumset whose count, read before its decode, is one too many fails
+    the sumsets row, which compares each count with its decoded elements."""
+    real = sumsets._Sumset.__len__
+    monkeypatch.setattr(sumsets._Sumset, "__len__", lambda s: real(s) + ("elements" not in vars(s)))
+    assert main(["selftest"]) == 1
+    assert any(line.startswith("FAIL  sumsets: ") for line in capsys.readouterr().out.splitlines())
 
 
 def test_selftest_fails_under_python_O():

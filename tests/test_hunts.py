@@ -300,13 +300,14 @@ def _reference_draw(rng, carrier, cap):
 def test_draws_match_the_math_comb_reference():
     # |B_1 + B_2 + B_3| reaches 121 at value_range 40, so S draws from carriers
     # that large. A hunt's one table serves carriers of every smaller length.
-    cols = hunts._columns(130, 6)
+    # The totals by (length, cap) are shared by every draw, as in a hunt.
+    cols, totals = hunts._columns(130, 6), {}
     for n in range(1, 131):
         carrier = list(range(100, 100 + n))
         for cap in range(1, 7):
             ours, ref = random.Random(n * 7 + cap), random.Random(n * 7 + cap)
             for _ in range(25):
-                assert hunts._draw_subset(ours, carrier, cap, cols) == _reference_draw(ref, carrier, cap)
+                assert hunts._draw_subset(ours, carrier, cap, cols, totals) == _reference_draw(ref, carrier, cap)
             assert ours.getstate() == ref.getstate()  # the same randrange calls
 
 

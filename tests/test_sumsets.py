@@ -5,6 +5,8 @@ import json
 import math
 import random
 import re
+import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -20,6 +22,7 @@ from sumsetlab import (
     Residues,
     StructureMismatchError,
     direct_power,
+    find_plunnecke_subset_multi,
     graph_triple_sumset,
     instance_from_json,
     instance_to_json,
@@ -29,6 +32,7 @@ from sumsetlab import (
     sumset,
 )
 from sumsetlab import sumsets
+from sumsetlab.hunts import eval_question2
 
 from conftest import brute_sumset, int_set, random_int_set
 
@@ -239,7 +243,7 @@ def test_runs_of_summands_match_bruteforce(rng):
                 break
         folded = sumsets._integer_fold(sets)
         expected = tuple(sorted(brute_sumset(z, sets)))
-        assert folded in (None, expected)
+        assert folded in (None, _mask(expected))
         assert sumset(z, sets).elements == expected
         engines.append(folded is not None)
     assert any(engines) and not all(engines)
@@ -259,6 +263,11 @@ def test_iterated_sums_of_a_sidon_like_set_stay_small():
         tracemalloc.stop()
     assert len(total) == math.comb(19, 7) == 50388
     assert peak < 16 * 2**20
+
+
+def _mask(elements):
+    """The (offset, bits) fold of a sorted tuple of integers."""
+    return elements[0], sum(1 << (x - elements[0]) for x in elements)
 
 
 def _spanning_set(rng, lo, span, size):
@@ -284,9 +293,10 @@ def test_bitmask_decode_matches_bruteforce(offset, k):
         sets.insert(0, _spanning_set(rng, offset, span, min(size, span + 1)))
         folded = sumsets._integer_fold(sets)
         assert folded is not None  # the bitmask fold, not the hash fold
-        assert folded[-1] - folded[0] >= total_span - k
-        assert folded == tuple(sorted(brute_sumset(z, sets)))
-        assert sumset(z, sets).elements == folded
+        assert folded[1].bit_length() - 1 >= total_span - k
+        expected = tuple(sorted(brute_sumset(z, sets)))
+        assert folded == _mask(expected)
+        assert sumset(z, sets).elements == expected
 
 
 @pytest.mark.parametrize("offset", [0, -5, 2**64 + 1, -(2**63) - 1])
@@ -294,9 +304,151 @@ def test_bitmask_decode_of_singletons(offset):
     z = Integers()
     for k in range(1, 5):
         singles = [int_set(offset + 3 * j) for j in range(k)]
-        assert sumsets._integer_fold(singles) == (k * offset + 3 * k * (k - 1) // 2,)
+        assert sumsets._integer_fold(singles) == (k * offset + 3 * k * (k - 1) // 2, 1)
+        assert sumset(z, singles).elements == (k * offset + 3 * k * (k - 1) // 2,)
         mixed = [*singles[:-1], int_set(-2, -1, 1)]
-        assert sumsets._integer_fold(mixed) == tuple(sorted(brute_sumset(z, mixed))) == sumset(z, mixed).elements
+        expected = tuple(sorted(brute_sumset(z, mixed)))
+        assert sumsets._integer_fold(mixed) == _mask(expected)
+        assert sumset(z, mixed).elements == expected
+
+
+def _wide_int_set(rng):
+    """Two to four integers spanning 10^6: every sum of them is sparse."""
+    lo = rng.randrange(-50, 50)
+    return FiniteSet(Integers(), (lo, lo + 10**6, *rng.sample(range(lo + 1, lo + 10**6), rng.randrange(0, 3))))
+
+
+def _sampled(structure, pool, max_size):
+    """A random operand: 1 to max_size distinct elements of the pool."""
+    pool = list(pool)
+    return lambda rng: FiniteSet(structure, tuple(rng.sample(pool, rng.randrange(1, max_size + 1))))
+
+
+_LAT, _SYM, _SEMI, _POWER = Lattice(2), Permutations(3), IntersectionSemigroup(5), DirectPower(Residues(3), 2)
+# name: (structure, a random operand, candidates for membership probes)
+LAZY_CASES = {
+    "Z dense": (Integers(), _sampled(Integers(), range(-6, 7), 5), range(-30, 31)),
+    "Z wide": (Integers(), _wide_int_set, range(-100, 100)),
+    "Z^2": (_LAT, _sampled(_LAT, itertools.product(range(-3, 4), repeat=2), 4),
+            list(itertools.product(range(-10, 11), repeat=2))),
+    "Z/n": (Residues(11), _sampled(Residues(11), range(11), 4), range(11)),
+    "Sym(3)": (_SYM, _sampled(_SYM, _SYM.elements(), 3), list(_SYM.elements())),
+    "Intersect(5)": (_SEMI, _sampled(_SEMI, range(32), 4), range(32)),
+    "DirectPower": (_POWER, _sampled(_POWER, _POWER.elements(), 3), list(_POWER.elements())),
+}
+
+
+@pytest.mark.parametrize("name", list(LAZY_CASES))
+def test_undecoded_sums_answer_as_finite_sets(name):
+    """A sumset counts, probes, compares and hashes like the FiniteSet of
+    its elements before and after its decode, on both integer engines; the
+    count, the probes, a comparison of unequal sizes and the nonempty guard
+    decode nothing, and a decoded sum holds what a FiniteSet holds."""
+    structure, draw, candidates = LAZY_CASES[name]
+    rng = random.Random(name)
+    masks = []
+    for _ in range(40):
+        sets = [draw(rng) for _ in range(rng.randrange(1, 4))]
+        expected = FiniteSet(structure, tuple(brute_sumset(structure, sets)))
+        smaller = FiniteSet(structure, expected.elements[1:])
+
+        total = sumset(structure, sets)
+        masks.append(type(vars(total)["_payload"]) is tuple)
+        assert masks[-1] == (isinstance(structure, Integers) and sumsets._integer_fold(sets) is not None)
+        assert len(total) == len(expected)
+        assert [x in total for x in candidates] == [x in expected for x in candidates]
+        assert total != smaller and smaller != total
+        sumsets._require_nonempty([total])
+        assert "elements" not in vars(total)
+        assert total.elements == expected.elements
+        assert len(total) == len(expected)
+        assert vars(total).keys() == vars(expected).keys()
+        assert [x in total for x in candidates] == [x in expected for x in candidates]
+
+        for fresh in (sumset(structure, sets), total):
+            assert fresh == expected and expected == fresh
+            assert not (fresh != expected or expected != fresh)
+        assert hash(sumset(structure, sets)) == hash(expected)
+        assert sumset(structure, sets) == sumset(structure, sets)
+        assert (sumset(structure, sets).min(), sumset(structure, sets).max()) == (expected.min(), expected.max())
+        assert list(sumset(structure, sets)) == list(expected)
+        assert sumset(structure, sets).to_json() == expected.to_json()
+    assert any(masks) if name == "Z dense" else not any(masks)
+
+
+def test_threads_reading_one_sum_agree():
+    """Threads that count, probe and decode the same sums at once all see
+    the same set, and none finds the payload gone without the tuple."""
+    z = Integers()
+    sets_list = [[int_set(0, 1, 3), int_set(0, 2, 7)], [int_set(0, 10**6), int_set(0, 5, 9)]]
+    sums = [sumset(z, sets) for sets in sets_list for _ in range(2000)]
+    expected = [tuple(sorted(brute_sumset(z, sets))) for sets in sets_list for _ in range(2000)]
+    seen, errors = [], []
+
+    def read():
+        try:
+            seen.append([(len(t), 3 in t, t.elements, len(t)) for t in sums])
+        except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    want = [(len(e), 3 in e, e, len(e)) for e in expected]
+    assert len(seen) == 4 and all(got == want for got in seen)
+
+
+def test_probes_of_other_values_match_a_tuple():
+    """A probe that is no integer, or not hashable, answers as the tuple of
+    elements would."""
+    z = Integers()
+    for sets in ([int_set(0, 1), int_set(0, 2)], [int_set(0, 10**6), int_set(0, 5)]):
+        for probe in (1.0, 2.5, True, "1", (1,), [1], None):
+            assert (probe in sumset(z, sets)) == (probe in sumset(z, sets).elements)
+
+
+def _recorded_decodes(monkeypatch):
+    decoded = []
+    real = sumsets._decode
+
+    def recorded(payload):
+        decoded.append(real(payload))
+        return decoded[-1]
+
+    monkeypatch.setattr(sumsets, "_decode", recorded)
+    return decoded
+
+
+@pytest.mark.parametrize("spread", [1, 10**6], ids=["bitmask", "hash"])
+def test_a_question_2_instance_decodes_no_sum(spread, monkeypatch):
+    """eval_question2 only counts its sums and probes S against
+    B_1 + ... + B_k."""
+    a = int_set(0, spread, 3 * spread)
+    bs = [int_set(0, 2 * spread), int_set(0, spread), int_set(0, 4 * spread)]
+    s = int_set(spread, 3 * spread, 7 * spread)
+    assert (sumsets._integer_fold(bs) is not None) == (spread == 1)
+    decoded = _recorded_decodes(monkeypatch)
+    record = eval_question2(a, bs, s)
+    assert decoded == []
+    assert (record.lhs, record.rhs) == (len(brute_sumset(Integers(), [s, a])) ** 3, 3 * math.prod(
+        len(brute_sumset(Integers(), [a, *bs[:i], *bs[i + 1:]])) for i in range(3)))
+
+
+def test_a_multi_search_decodes_only_its_scan_target(monkeypatch):
+    """find_plunnecke_subset_multi counts each |A + B_i| and decodes
+    B_1 + ... + B_h once, for the scan."""
+    a, bs = int_set(0, 1, 3, 7, 12), [int_set(0, 2, 5), int_set(0, 1, 4)]
+    decoded = _recorded_decodes(monkeypatch)
+    find_plunnecke_subset_multi(a, bs)
+    assert decoded == [tuple(sorted(brute_sumset(Integers(), bs)))]
 
 
 def test_integer_cardinality_bounds_on_1000_instances(rng):
